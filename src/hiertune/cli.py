@@ -495,7 +495,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
     except CliError as exc:
-        _error_record({"seed": 0}, mode, "config", str(exc))
+        _error_record({"seed": 0, "out": getattr(args, "out", None)}, mode, "config", str(exc))
         return 2
     try:
         return args.func(cfg)

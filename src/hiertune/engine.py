@@ -84,6 +84,9 @@ class EvalResult:
     time_high: float
     time_low: float
     index: int = 0
+    # seconds from the start of the ``tune`` call to the end of this
+    # evaluation, on one monotonic clock; 0 outside ``tune``
+    finished_at: float = 0.0
 
 
 @dataclass
@@ -172,6 +175,7 @@ class _CachedObjective:
         self.results: list[EvalResult] = []
         self.lock = threading.Lock()
         self.next_index = 0
+        self.started = time.perf_counter()
 
     def _admit(self, x) -> tuple[tuple[float, ...], np.ndarray]:
         clipped = self.problem.bounds.clip(x)
@@ -199,14 +203,28 @@ class _CachedObjective:
 
         def run(k: int) -> EvalResult:
             key, clipped = runnable[k]
-            return evaluate(self.problem, clipped, index=start + k, requested=key)
+            res = evaluate(self.problem, clipped, index=start + k, requested=key)
+            res.finished_at = time.perf_counter() - self.started
+            return res
 
         if runnable:
-            if self.threads > 1 and len(runnable) > 1:
-                with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                    evaluated = list(pool.map(run, range(len(runnable))))
+            evaluated: list = [None] * len(runnable)
+            claim = itertools.count()
+
+            def drain() -> None:
+                # next() on a count is one C call, so no slot is claimed twice
+                while (k := next(claim)) < len(runnable):
+                    evaluated[k] = run(k)
+
+            helpers = min(self.threads, len(runnable)) - 1
+            if helpers:
+                with ThreadPoolExecutor(max_workers=helpers) as pool:
+                    futures = [pool.submit(drain) for _ in range(helpers)]
+                    drain()
+                    for f in futures:
+                        f.result()
             else:
-                evaluated = [run(k) for k in range(len(runnable))]
+                drain()
             with self.lock:
                 for res in evaluated:
                     self.cache[res.rho] = res
@@ -280,7 +298,11 @@ def transfer_tune(
 
 
 def emit_trace(trace: TuningTrace, path) -> None:
-    """Plot-ready CSV: one row per evaluation plus a running best column."""
+    """Plot-ready CSV: one row per evaluation plus running-best and clock columns.
+
+    ``cumulative_wall_time`` is the running maximum of the evaluations' end
+    stamps, so it never exceeds the real time the tuning run took.
+    """
     if not trace.results:
         raise ValueError("cannot emit an empty trace")
     dim = len(trace.results[0].rho)
@@ -290,16 +312,16 @@ def emit_trace(trace: TuningTrace, path) -> None:
         + ["objective", "feasible", "best_so_far", "cumulative_wall_time"]
     )
     best = trace.best_so_far()
-    cum = 0.0
+    clock = 0.0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r, b in zip(trace.results, best):
-            cum += r.time_high + r.time_low
+            clock = max(clock, r.finished_at)
             writer.writerow(
                 [r.index]
                 + [repr(c) for c in r.rho]
-                + [repr(r.objective), int(r.feasible), repr(b), repr(cum)]
+                + [repr(r.objective), int(r.feasible), repr(b), repr(clock)]
             )
 
 

@@ -1,29 +1,33 @@
-"""LP/MILP solving on top of the simplex kernel.
+"""LP/MILP solving with HiGHS.
 
-``solve_lp`` solves the continuous relaxation, ``solve_milp`` runs branch and
-bound (most-fractional branching, best-bound node selection with depth-first
-plunging until the first incumbent), and ``brute_force_milp`` is the
-exhaustive-enumeration oracle used to verify the backend on tiny instances.
+``solve_lp`` solves the continuous relaxation through
+``scipy.optimize.linprog`` and ``solve_milp`` the mixed-integer model through
+``scipy.optimize.milp``; both map HiGHS's result onto :class:`SolveReport`
+with the objective constant added back.  ``brute_force_milp`` is the
+exhaustive-enumeration oracle that verifies them on tiny instances: it solves
+each integer assignment's LP with the native simplex of
+:mod:`hiertune.simplex`, so it shares no code with the solver it checks.
 
-All solves are deterministic for a fixed (model, options) pair; wall time is
-the only report field that varies between runs.
+All solves are deterministic for a fixed (model, options) pair as long as no
+time limit stops them; wall time is the only report field that varies
+between runs.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csc_array, csr_array
 
 from .model import (
     EQ,
     GE,
     LE,
-    Kind,
     ModelError,
     ModelInstance,
     Sense,
@@ -31,7 +35,7 @@ from .model import (
     SolveOptions,
     Status,
 )
-from .simplex import LP_FAILURE, LP_INFEASIBLE, LP_OPTIMAL, LP_UNBOUNDED, solve_lp_csc
+from .simplex import LP_OPTIMAL, LP_UNBOUNDED, solve_lp_csc
 
 __all__ = ["SolveReport", "solve_lp", "solve_milp", "brute_force_milp", "solve_model"]
 
@@ -41,6 +45,13 @@ BRUTE_FORCE_CAP = 2**22
 
 @dataclass
 class SolveReport:
+    """Outcome of one solve.
+
+    ``nodes`` counts branch-and-bound nodes (for the oracle, enumerated
+    assignments); ``lp_iterations`` counts simplex iterations where the solver
+    reports them and is 0 for HiGHS MILP solves, which do not.
+    """
+
     status: Status
     incumbent: Solution | None
     best_bound: float
@@ -62,7 +73,7 @@ class SolveReport:
 
 
 class _Arrays:
-    """Dense row-form snapshot of a sealed, lowered model."""
+    """Column-form (CSC) snapshot of a sealed, lowered model."""
 
     def __init__(self, model: ModelInstance):
         if not model.is_sealed:
@@ -108,6 +119,30 @@ class _Arrays:
             return -self.c, -self.c0
         return self.c, self.c0
 
+    def _matrix(self, row_scale: np.ndarray) -> csr_array:
+        """The row matrix with row ``i`` multiplied by ``row_scale[i]``."""
+        scaled = self.cval * row_scale[self.crow]
+        return csc_array((scaled, self.crow, self.cptr), shape=(self.m, self.n)).tocsr()
+
+    def linear_constraint(self) -> LinearConstraint | None:
+        """All rows as one two-sided ``LinearConstraint`` for ``milp``."""
+        if self.m == 0:
+            return None
+        lo = np.where(self.senses >= 0, self.b, -np.inf)
+        up = np.where(self.senses <= 0, self.b, np.inf)
+        return LinearConstraint(self._matrix(np.ones(self.m)), lo, up)
+
+    def split_rows(self):
+        """``(A_ub, b_ub, A_eq, b_eq)`` for ``linprog``; ``>=`` rows are negated."""
+        sign = np.where(self.senses > 0, -1.0, 1.0)
+        A = self._matrix(sign)
+        b = sign * self.b
+        ineq = np.flatnonzero(self.senses != 0)
+        eq = np.flatnonzero(self.senses == 0)
+        A_ub, b_ub = (A[ineq], b[ineq]) if len(ineq) else (None, None)
+        A_eq, b_eq = (A[eq], b[eq]) if len(eq) else (None, None)
+        return A_ub, b_ub, A_eq, b_eq
+
 
 def _lp(arr: _Arrays, c: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     code, x, y, iters = solve_lp_csc(
@@ -133,179 +168,109 @@ def _solution(arr: _Arrays, x: np.ndarray, obj_min: float, status: Status) -> So
     return Solution(values, obj, status)
 
 
+def _no_solution(arr: _Arrays, status: Status, nodes: int, iters: int, wall: float,
+                 bound_min: float = -math.inf) -> SolveReport:
+    """Report without an incumbent; ``bound_min`` is in minimize orientation."""
+    if status is Status.INFEASIBLE:
+        bound_min = math.inf
+    elif status is Status.UNBOUNDED:
+        bound_min = -math.inf
+    elif status is Status.NUMERICAL_FAILURE:
+        bound_min = math.nan
+    ext = -1.0 if arr.maximize else 1.0
+    return SolveReport(status, None, ext * bound_min, math.inf, nodes, iters, wall)
+
+
+#: ``scipy.optimize.linprog`` status codes; 4 and anything else is a numerical failure.
+_LP_STATUS = {0: Status.OPTIMAL, 1: Status.NO_INCUMBENT, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
+
+
 def solve_lp(model: ModelInstance, options: SolveOptions | None = None) -> SolveReport:
-    """Solve the continuous relaxation (integrality dropped)."""
+    """Solve the continuous relaxation (integrality dropped) with HiGHS."""
     options = options or SolveOptions()
     arr = _Arrays(model)
     c, c0 = arr.csigned()
+    A_ub, b_ub, A_eq, b_eq = arr.split_rows()
     t0 = time.perf_counter()
-    code, x, y, iters = _lp(arr, c, arr.lower, arr.upper)
+    res = linprog(
+        c,
+        A_ub=A_ub,
+        b_ub=b_ub,
+        A_eq=A_eq,
+        b_eq=b_eq,
+        bounds=np.column_stack([arr.lower, arr.upper]),
+        method="highs",
+        options={"time_limit": options.time_limit},
+    )
     wall = time.perf_counter() - t0
-    if code == LP_OPTIMAL:
-        obj_min = float(c @ x) + c0
-        sol = _solution(arr, x, obj_min, Status.OPTIMAL)
-        # integers relaxed: report plain values, no rounding
-        sol.values = {vid: float(x[vid]) for vid in range(arr.n)}
-        bound = sol.objective
-        return SolveReport(Status.OPTIMAL, sol, bound, 0.0, 0, iters, wall)
-    if code == LP_INFEASIBLE:
-        bound = -math.inf if arr.maximize else math.inf
-        return SolveReport(Status.INFEASIBLE, None, bound, math.inf, 0, iters, wall)
-    if code == LP_UNBOUNDED:
-        bound = math.inf if arr.maximize else -math.inf
-        return SolveReport(Status.UNBOUNDED, None, bound, math.inf, 0, iters, wall)
-    return SolveReport(Status.NUMERICAL_FAILURE, None, math.nan, math.inf, 0, iters, wall)
+    status = _LP_STATUS.get(res.status, Status.NUMERICAL_FAILURE)
+    iters = int(res.nit)
+    if status is not Status.OPTIMAL:
+        return _no_solution(arr, status, 0, iters, wall)
+    x = np.clip(res.x, arr.lower, arr.upper)
+    sol = _solution(arr, x, float(res.fun) + c0, Status.OPTIMAL)
+    # integers relaxed: report plain values, no rounding
+    sol.values = {vid: float(x[vid]) for vid in range(arr.n)}
+    return SolveReport(Status.OPTIMAL, sol, sol.objective, 0.0, 0, iters, wall)
+
+
+def _milp_status(res, options: SolveOptions) -> Status:
+    """Map a ``scipy.optimize.milp`` result onto :class:`Status`."""
+    if res.status == 0:
+        return Status.OPTIMAL
+    if res.status == 2:
+        return Status.INFEASIBLE
+    if res.status == 3:
+        return Status.UNBOUNDED
+    # scipy reports a node-limit stop as an unrecognised HiGHS status (4)
+    node_stop = res.status == 4 and (res.mip_node_count or 0) >= options.node_limit
+    if res.status == 1 or node_stop:
+        return Status.NO_INCUMBENT if res.x is None else Status.FEASIBLE_GAP
+    return Status.NUMERICAL_FAILURE
 
 
 def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> SolveReport:
-    """Branch and bound.  Returns the incumbent and a valid best bound."""
+    """Solve with HiGHS.  Returns the incumbent and a valid best bound.
+
+    ``lp_iterations`` is 0: HiGHS does not report a MIP's simplex count.
+    """
     options = options or SolveOptions()
     arr = _Arrays(model)
     c, c0 = arr.csigned()
-    int_ids = arr.int_ids
-    itol = options.integrality_tolerance
+    integrality = np.zeros(arr.n)
+    integrality[arr.int_ids] = 1
     t0 = time.perf_counter()
-
-    nodes_explored = 0
-    lp_iters = 0
-    incumbent_x = None
-    incumbent_obj = math.inf
-    prune_floor = math.inf
-    seq = itertools.count()
-
-    stack: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    heap: list[tuple[float, int, np.ndarray, np.ndarray]] = []
-    stack.append((-math.inf, next(seq), arr.lower.copy(), arr.upper.copy()))
-    limit_hit = False
-    failure = False
-    root_unbounded = False
-
-    def cutoff() -> float:
-        if incumbent_obj is math.inf:
-            return math.inf
-        slack = max(options.mip_gap * max(1.0, abs(incumbent_obj)), 1e-9)
-        return incumbent_obj - slack
-
-    def open_bound() -> float:
-        vals = [nb for nb, _, _, _ in stack] + ([heap[0][0]] if heap else [])
-        vals.append(prune_floor)
-        return min(vals) if vals else math.inf
-
-    while stack or heap:
-        if time.perf_counter() - t0 > options.time_limit or nodes_explored >= options.node_limit:
-            limit_hit = True
-            break
-        if incumbent_x is not None:
-            bound_now = min(open_bound(), incumbent_obj)
-            if incumbent_obj - bound_now <= options.mip_gap * max(1.0, abs(incumbent_obj)):
-                break
-        if stack:
-            node_bound, _, lo, up = stack.pop()
-        else:
-            node_bound, _, lo, up = heapq.heappop(heap)
-        if node_bound >= cutoff():
-            prune_floor = min(prune_floor, node_bound)
-            continue
-
-        code, x, _, iters = _lp(arr, c, lo, up)
-        nodes_explored += 1
-        lp_iters += iters
-        if code == LP_INFEASIBLE:
-            continue
-        if code == LP_UNBOUNDED:
-            if nodes_explored == 1:
-                root_unbounded = True
-                break
-            continue
-        if code == LP_FAILURE:
-            failure = True
-            break
-        obj = float(c @ x) + c0
-        if obj >= cutoff():
-            prune_floor = min(prune_floor, obj)
-            continue
-
-        frac = np.abs(x[int_ids] - np.round(x[int_ids])) if len(int_ids) else np.zeros(0)
-        if len(int_ids) == 0 or frac.max() <= itol:
-            if obj < incumbent_obj - 1e-9:
-                first = incumbent_x is None
-                incumbent_x = x.copy()
-                incumbent_obj = obj
-                if first:
-                    while stack:
-                        nb, s, lo2, up2 = stack.pop()
-                        heapq.heappush(heap, (nb, s, lo2, up2))
-            continue
-
-        # most-fractional branching, ties to the smallest index
-        dist = np.minimum(frac, 1.0 - frac)
-        j = int(int_ids[int(np.argmax(dist))])
-        xj = x[j]
-        lo_dn, up_dn = lo.copy(), up.copy()
-        up_dn[j] = math.floor(xj)
-        lo_up, up_up = lo.copy(), up.copy()
-        lo_up[j] = math.ceil(xj)
-        down_first = (xj - math.floor(xj)) <= 0.5
-        children = [(lo_dn, up_dn), (lo_up, up_up)]
-        if not down_first:
-            children.reverse()
-        if incumbent_x is None:
-            # plunge: push the rounded-nearest child last so it pops first
-            stack.append((obj, next(seq), *children[1]))
-            stack.append((obj, next(seq), *children[0]))
-        else:
-            for lo2, up2 in children:
-                heapq.heappush(heap, (obj, next(seq), lo2, up2))
-
-        if len(int_ids) and (nodes_explored == 1 or incumbent_x is None or nodes_explored % 32 == 0):
-            # rounding heuristics on the node relaxation: ceiling first
-            # (extra capacity-like starts keep production plans feasible),
-            # nearest as fallback
-            improved = False
-            for mode in ("ceil", "round"):
-                rounded = np.ceil(x[int_ids] - itol) if mode == "ceil" else np.round(x[int_ids])
-                lo_h, up_h = lo.copy(), up.copy()
-                vals = np.clip(rounded, lo[int_ids], up[int_ids])
-                lo_h[int_ids] = vals
-                up_h[int_ids] = vals
-                code_h, x_h, _, iters_h = _lp(arr, c, lo_h, up_h)
-                lp_iters += iters_h
-                if code_h == LP_OPTIMAL:
-                    obj_h = float(c @ x_h) + c0
-                    if obj_h < incumbent_obj - 1e-9:
-                        first = incumbent_x is None
-                        incumbent_x = x_h.copy()
-                        incumbent_obj = obj_h
-                        improved = True
-                        if first:
-                            while stack:
-                                nb, s, lo2, up2 = stack.pop()
-                                heapq.heappush(heap, (nb, s, lo2, up2))
-                if improved:
-                    break
-
+    res = milp(
+        c,
+        integrality=integrality,
+        bounds=Bounds(arr.lower, arr.upper),
+        constraints=arr.linear_constraint(),
+        options={
+            "time_limit": options.time_limit,
+            "node_limit": options.node_limit,
+            "mip_rel_gap": options.mip_gap,
+        },
+    )
     wall = time.perf_counter() - t0
-    ext = -1.0 if arr.maximize else 1.0
+    status = _milp_status(res, options)
+    nodes = int(res.mip_node_count or 0)
+    dual = res.mip_dual_bound
+    if dual is None and status is Status.OPTIMAL:
+        dual = res.fun  # a model without integers reports no MIP bound
+    bound_min = -math.inf if dual is None else float(dual) + c0
+    if status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
+        return _no_solution(arr, status, nodes, 0, wall, bound_min)
 
-    if failure:
-        return SolveReport(Status.NUMERICAL_FAILURE, None, math.nan, math.inf, nodes_explored, lp_iters, wall)
-    if root_unbounded:
-        return SolveReport(Status.UNBOUNDED, None, ext * -math.inf, math.inf, nodes_explored, lp_iters, wall)
-    if incumbent_x is None:
-        if limit_hit:
-            return SolveReport(
-                Status.NO_INCUMBENT, None, ext * open_bound(), math.inf, nodes_explored, lp_iters, wall
-            )
-        return SolveReport(Status.INFEASIBLE, None, ext * math.inf, math.inf, nodes_explored, lp_iters, wall)
-
-    bound_min = min(open_bound(), incumbent_obj)
-    gap = _gap(incumbent_obj, bound_min)
-    status = Status.FEASIBLE_GAP if limit_hit else Status.OPTIMAL
-    if not limit_hit and gap > options.mip_gap:
-        # exhausted tree has a proven bound within the pruning slack
+    x = np.clip(res.x, arr.lower, arr.upper)
+    obj_min = float(res.fun) + c0
+    bound_min = min(bound_min, obj_min)
+    gap = _gap(obj_min, bound_min)
+    if status is Status.OPTIMAL:
+        # HiGHS measures its gap without the objective constant
         gap = min(gap, options.mip_gap)
-    sol = _solution(arr, incumbent_x, incumbent_obj, status)
-    return SolveReport(status, sol, ext * bound_min, gap, nodes_explored, lp_iters, wall)
+    sol = _solution(arr, x, obj_min, status)
+    ext = -1.0 if arr.maximize else 1.0
+    return SolveReport(status, sol, ext * bound_min, gap, nodes, 0, wall)
 
 
 def brute_force_milp(

@@ -784,10 +784,15 @@ def extract_design(
     network: RtnNetwork,
     feasibility_tolerance: float = 1e-6,
 ) -> RtnDesign:
-    """Read the design variables out of a high-level solution.
+    """Read the least design a high-level solution needs.
 
-    Values within tolerance outside [0, cap] are clamped; an unusable
-    solution status is an error.
+    Each vessel and storage size shrinks to the smallest value that keeps
+    every row of ``model`` satisfied at the solution's other values.  Sizes
+    enter the high level only through ``E <= K*Vmax``, the ``bmin`` rows and
+    ``X <= Xmax``, and no cost falls as a size shrinks, so the result is
+    still a high-level optimum; and it does not depend on where the solver
+    left a size that has no price.  Values within tolerance outside
+    [0, cap] are clamped; an unusable solution status is an error.
     """
     if solution.status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
         raise ModelError(f"cannot extract a design from a {solution.status.value} solution")
@@ -797,21 +802,38 @@ def extract_design(
             raise ModelError(f"{what} value {value} outside [0, {cap}]")
         return min(max(value, 0.0), cap)
 
-    vessel_size = {
-        v.name: _clamp(
-            solution.values[model.variable_id(f"Vmax[{v.name}]")], v.cap, f"vessel {v.name!r}"
-        )
-        for v in network.vessels
+    vessels = {v.name: (model.variable_id(f"Vmax[{v.name}]"), v.cap) for v in network.vessels}
+    storage = {
+        m.name: (model.variable_id(f"Xmax[{m.name}]"), m.storage_cap) for m in network.materials
     }
+    rows: dict[int, list] = {vid: [] for vid, _ in (*vessels.values(), *storage.values())}
+    for con in model.constraints:
+        for vid in rows.keys() & con.expr.terms.keys():
+            rows[vid].append(con)
+    values = dict(solution.values)
+
+    def _least(vid: int, cap: float, what: str) -> float:
+        values[vid] = min(_clamp(values[vid], cap, what), _least_value(vid, rows[vid], values))
+        return values[vid]
+
+    vessel_size = {name: _least(vid, cap, f"vessel {name!r}") for name, (vid, cap) in vessels.items()}
     storage_size = {
-        m.name: _clamp(
-            solution.values[model.variable_id(f"Xmax[{m.name}]")],
-            m.storage_cap,
-            f"storage {m.name!r}",
-        )
-        for m in network.materials
+        name: _least(vid, cap, f"storage {name!r}") for name, (vid, cap) in storage.items()
     }
     return RtnDesign(vessel_size, storage_size)
+
+
+def _least_value(vid: int, rows, values: Mapping[int, float]) -> float:
+    """Smallest non-negative value of ``vid`` satisfying ``rows`` at the other values."""
+    need = 0.0
+    for con in rows:
+        a = con.expr.terms[vid]
+        room = con.rhs - sum(c * values[v] for v, c in con.expr.terms.items() if v != vid)
+        # a row bounds vid from below when a*v <= room with a < 0, or a*v >= room
+        # with a > 0; an equality row pins it
+        if con.sense == EQ or (con.sense == LE) == (a < 0):
+            need = max(need, room / a)
+    return need
 
 
 # ---------------------------------------------------------------------------

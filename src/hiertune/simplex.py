@@ -1,12 +1,14 @@
-"""Bounded-variable revised simplex on sparse columns.
+"""Bounded-variable revised simplex on sparse columns: the oracle's LP kernel.
+
+HiGHS (:mod:`hiertune.milp`) does the program's solving; this kernel serves
+only ``milp.brute_force_milp``, the enumeration oracle, so that the oracle
+shares no code with the solver it checks.  It runs as plain numpy and Python.
 
 Two-phase primal simplex with lower/upper bounds on every column, Dantzig
 pricing with a Bland's-rule fallback once a long run of degenerate pivots is
 detected, an explicit basis inverse with periodic refactorization, and an
 O(m) incremental dual-vector update per pivot.  Columns are stored CSC so
-pricing costs O(nnz) per iteration.  The kernel is numba-compatible numpy
-and is jit-compiled when numba is available; the identical code path runs
-(slower) without it.
+pricing costs O(nnz) per iteration.
 
 Problem form: ``min c@x  s.t.  A@x (<=,=,>=) b,  lower <= x <= upper`` with
 sense codes -1/0/+1 for <=/=/>=.  Slack and phase-1 artificial columns are
@@ -16,20 +18,6 @@ appended internally.
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def deco(f):
-            return f
-
-        return deco
-
 
 LP_OPTIMAL = 0
 LP_INFEASIBLE = 1
@@ -44,7 +32,6 @@ _FREE = 3
 _REFACTOR_EVERY = 150
 
 
-@njit(cache=True)
 def _lp_core(cptr, crow, cval, m, senses, b, c, lower, upper, max_iter):  # noqa: C901
     """Solve the LP; returns (status, x, y, iterations)."""
     n = cptr.shape[0] - 1
@@ -393,23 +380,3 @@ def solve_lp_csc(cptr, crow, cval, m, senses, b, c, lower, upper, max_iter=None)
         np.ascontiguousarray(upper, dtype=np.float64),
         max_iter,
     )
-
-
-def solve_lp_arrays(AT, senses, b, c, lower, upper, max_iter=None):
-    """Dense-matrix convenience wrapper around :func:`solve_lp_csc`.
-
-    ``AT`` has shape (n, m): row j is column j of A.
-    """
-    AT = np.asarray(AT, dtype=np.float64)
-    n, m = AT.shape
-    cptr = np.zeros(n + 1, np.int64)
-    rows = []
-    vals = []
-    for j in range(n):
-        nz = np.nonzero(AT[j])[0]
-        cptr[j + 1] = cptr[j] + len(nz)
-        rows.append(nz.astype(np.int64))
-        vals.append(AT[j][nz])
-    crow = np.concatenate(rows) if rows else np.zeros(0, np.int64)
-    cval = np.concatenate(vals) if vals else np.zeros(0)
-    return solve_lp_csc(cptr, crow, cval, m, senses, b, c, lower, upper, max_iter)

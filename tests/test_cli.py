@@ -157,5 +157,9 @@ def test_error_exit_codes(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))
     assert run(["oracle-check", "--config", cfg, "--out", tmp_path / "e3"]) == 2
+    assert json.loads((tmp_path / "e3" / "error.json").read_text())["error"] == "config"
 
-    assert run(["report", tmp_path / "absent.json"]) == 2
+    out4 = tmp_path / "e4"
+    assert run(["report", tmp_path / "absent.json", "--out", out4]) == 2
+    record = json.loads((out4 / "error.json").read_text())
+    assert record["error"] == "config" and record["mode"] == "report"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -182,6 +183,26 @@ def test_trace_emit_round_trip(tmp_path):
     assert best_col == trace.best_so_far()
     assert min(best_col) == trace.best.objective
     assert best_col == sorted(best_col, reverse=True)
+
+
+def test_trace_clock_within_tune_wall_time(tmp_path):
+    # evaluations overlap on two threads: the clock column must not add them up
+    base = toy_problem()
+
+    def slow_high(rho):
+        time.sleep(0.02)
+        return base.build_high(rho)
+
+    prob = dataclasses.replace(base, build_high=slow_high)
+    cfg = DfoConfig(algorithm="pso", budget=12, seed=2, swarm_size=6)
+    t0 = time.perf_counter()
+    trace = tune(prob, cfg, initial_rho=[5.0], threads=2)
+    wall = time.perf_counter() - t0
+    path = tmp_path / "trace.csv"
+    emit_trace(trace, path)
+    clock = [float(r["cumulative_wall_time"]) for r in read_trace(path)]
+    assert clock == sorted(clock)
+    assert clock[-1] <= wall
 
 
 def test_rtn_problem_objective_audit():

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from hiertune.milp import brute_force_milp, solve_lp, solve_milp, solve_model
+from hiertune.milp import _milp_status, brute_force_milp, solve_lp, solve_milp, solve_model
 from hiertune.model import (
     EQ,
     GE,
@@ -156,20 +158,27 @@ def test_bound_validity_randomized():
 
 
 def test_lp_certificate_randomized():
-    # primal feasibility + complementary slackness on random feasible LPs
+    # primal feasibility, dual feasibility and strong duality on random feasible LPs:
+    # the objective solve_lp reports equals the dual objective of linprog's marginals
     rng = np.random.default_rng(3)
     checked = 0
     for _ in range(40):
         n, rows = int(rng.integers(2, 8)), int(rng.integers(1, 8))
         m = ModelInstance()
-        ids = [m.add_variable(f"x{k}", Kind.CONTINUOUS, 0, float(rng.uniform(1, 5))) for k in range(n)]
-        c = {vid: float(rng.normal()) for vid in ids}
-        for vid, coef in c.items():
-            m.add_objective_term(vid, coef)
+        upper = rng.uniform(1, 5, size=n)
+        ids = [m.add_variable(f"x{k}", Kind.CONTINUOUS, 0, float(upper[k])) for k in range(n)]
+        c = rng.normal(size=n)
+        for vid in ids:
+            m.add_objective_term(vid, float(c[vid]))
+        A_ub, b_ub = [], []
         for r in range(rows):
             expr = {vid: float(rng.normal()) for vid in ids if rng.random() < 0.7}
             if expr:
-                m.add_constraint(expr, (LE, GE)[int(rng.integers(0, 2))], float(rng.normal()), f"c{r}")
+                sense, rhs = (LE, GE)[int(rng.integers(0, 2))], float(rng.normal())
+                m.add_constraint(expr, sense, rhs, f"c{r}")
+                sign = 1.0 if sense == LE else -1.0
+                A_ub.append([sign * expr.get(vid, 0.0) for vid in ids])
+                b_ub.append(sign * rhs)
         m.seal()
         rep = solve_lp(m)
         if rep.status is not Status.OPTIMAL:
@@ -177,6 +186,20 @@ def test_lp_certificate_randomized():
         checked += 1
         _, viol = m.evaluate_solution(rep.incumbent.values)
         assert viol <= 1e-7
+        A_ub = np.array(A_ub).reshape(-1, n)
+        dual = linprog(
+            c,
+            A_ub=A_ub if len(b_ub) else None,
+            b_ub=b_ub if b_ub else None,
+            bounds=[(0.0, u) for u in upper],
+            method="highs",
+        )
+        assert dual.status == 0
+        y, low, up = dual.ineqlin.marginals, dual.lower.marginals, dual.upper.marginals
+        assert np.all(y <= 1e-9) and np.all(low >= -1e-9) and np.all(up <= 1e-9)
+        np.testing.assert_allclose(A_ub.T @ y + low + up, c, atol=1e-7)
+        dual_objective = float(np.dot(b_ub, y) + np.dot(upper, up))
+        assert rep.incumbent.objective == pytest.approx(dual_objective, abs=1e-7)
     assert checked >= 10
 
 
@@ -217,6 +240,46 @@ def test_time_limit_reports_limit_status():
         # on a maximize problem the reported bound must not cross the optimum
         assert rep.best_bound >= full.incumbent.objective - 1e-7
         assert rep.incumbent.objective <= full.incumbent.objective + 1e-7
+
+
+def test_node_limit_reports_limit_status():
+    rng = np.random.default_rng(9)
+    m = ModelInstance("hard", "maximize")
+    ids = [m.add_variable(f"b{k}", Kind.BINARY, 0, 1) for k in range(25)]
+    w = rng.uniform(1, 10, size=25)
+    p = w + rng.uniform(0, 1, size=25)
+    for vid, pk in zip(ids, p):
+        m.add_objective_term(vid, float(pk))
+    m.add_constraint({vid: float(wk) for vid, wk in zip(ids, w)}, LE, float(w.sum() / 2), "cap")
+    m.seal()
+    rep = solve_milp(m, SolveOptions(node_limit=1, mip_gap=1e-9))
+    assert rep.status is Status.FEASIBLE_GAP
+    assert rep.nodes == 1
+    full = solve_milp(m, SolveOptions(time_limit=60, mip_gap=1e-9))
+    assert full.status is Status.OPTIMAL
+    assert rep.best_bound >= full.incumbent.objective - 1e-7
+    assert rep.incumbent.objective <= full.incumbent.objective + 1e-7
+    assert rep.gap > 0
+
+
+@pytest.mark.parametrize(
+    "status, has_x, nodes, expected",
+    [
+        (0, True, 5, Status.OPTIMAL),
+        (1, True, 5, Status.FEASIBLE_GAP),
+        (1, False, 5, Status.NO_INCUMBENT),
+        (2, False, 5, Status.INFEASIBLE),
+        (3, False, 0, Status.UNBOUNDED),
+        # scipy reports a node-limit stop as status 4 ("HiGHS Status 16")
+        (4, True, 10, Status.FEASIBLE_GAP),
+        (4, False, 10, Status.NO_INCUMBENT),
+        (4, True, 5, Status.NUMERICAL_FAILURE),
+        (4, False, 5, Status.NUMERICAL_FAILURE),
+    ],
+)
+def test_milp_status_mapping(status, has_x, nodes, expected):
+    res = SimpleNamespace(status=status, x=np.zeros(2) if has_x else None, mip_node_count=nodes)
+    assert _milp_status(res, SolveOptions(node_limit=10)) is expected
 
 
 def test_solve_model_projects_pwl_vars():

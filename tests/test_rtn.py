@@ -6,7 +6,7 @@ import pytest
 from hiertune.dfo import DomainError
 from hiertune.instances import generate_demand, generate_network
 from hiertune.milp import brute_force_milp, solve_milp, solve_model
-from hiertune.model import Kind, ModelError, SolveOptions, Status
+from hiertune.model import Kind, ModelError, Solution, SolveOptions, Status
 from hiertune.rtn import (
     DemandProfile,
     Material,
@@ -443,6 +443,35 @@ def test_extract_design(chain2, chain2_demand):
     rep.incumbent.status = Status.INFEASIBLE
     with pytest.raises(ModelError):
         extract_design(model, rep.incumbent, chain2)
+
+
+@pytest.mark.parametrize(
+    "rho", [TunableParameters.baseline(), TunableParameters(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)]
+)
+def test_extract_design_ignores_unpriced_vertex(chain2, chain2_demand, rho):
+    # a size with no high-level price may sit anywhere the solver leaves it;
+    # the extracted design is the least one the high-level schedule needs
+    model = build_high_level(chain2, chain2_demand, rho, 4, 3)
+    rep = solve_model(model, OPTS)
+    design = extract_design(model, rep.incumbent, chain2)
+
+    sizes = {model.variable_id(f"Vmax[{v.name}]"): ("v", v.name) for v in chain2.vessels}
+    sizes.update({model.variable_id(f"Xmax[{m.name}]"): ("s", m.name) for m in chain2.materials})
+    priced = {term.variable for term in model.pwl_terms}
+    unpriced = [vid for vid in sizes if vid not in priced]
+    assert unpriced
+    moved = dict(rep.incumbent.values)
+    for vid in unpriced:
+        moved[vid] = model.var(vid).upper
+    again = extract_design(model, Solution(moved, rep.incumbent.objective, rep.incumbent.status), chain2)
+    assert again == design
+
+    values = dict(rep.incumbent.values)
+    for vid, (kind, name) in sizes.items():
+        values[vid] = (design.vessel_size if kind == "v" else design.storage_size)[name]
+    obj, viol = model.evaluate_solution(values)
+    assert viol <= 1e-6
+    assert obj <= rep.incumbent.objective + 1e-9
 
 
 # -- solver-output invariants ------------------------------------------------------
