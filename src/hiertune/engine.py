@@ -216,15 +216,14 @@ class _CachedObjective:
                 while (k := next(claim)) < len(runnable):
                     evaluated[k] = run(k)
 
+            # the calling thread takes a share too: one worker thread fewer
+            # is one malloc arena fewer for HiGHS to leave memory in
             helpers = min(self.threads, len(runnable)) - 1
-            if helpers:
-                with ThreadPoolExecutor(max_workers=helpers) as pool:
-                    futures = [pool.submit(drain) for _ in range(helpers)]
-                    drain()
-                    for f in futures:
-                        f.result()
-            else:
+            with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+                futures = [pool.submit(drain) for _ in range(helpers)]
                 drain()
+                for f in futures:
+                    f.result()
             with self.lock:
                 for res in evaluated:
                     self.cache[res.rho] = res

@@ -2,11 +2,14 @@
 
 ``solve_lp`` solves the continuous relaxation through
 ``scipy.optimize.linprog`` and ``solve_milp`` the mixed-integer model through
-``scipy.optimize.milp``; both map HiGHS's result onto :class:`SolveReport`
-with the objective constant added back.  ``brute_force_milp`` is the
+``scipy.optimize.milp``; both map HiGHS's result onto :class:`SolveReport`,
+objective constant included.  ``brute_force_milp`` is the
 exhaustive-enumeration oracle that verifies them on tiny instances: it solves
 each integer assignment's LP with the native simplex of
 :mod:`hiertune.simplex`, so it shares no code with the solver it checks.
+SciPy is imported on the first HiGHS solve, not with the package: it takes
+longer to load than the rest of ``hiertune``, and commands that never solve
+(``gen``, ``report``) should not pay for it.
 
 All solves are deterministic for a fixed (model, options) pair as long as no
 time limit stops them; wall time is the only report field that varies
@@ -21,8 +24,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, linprog, milp
-from scipy.sparse import csc_array, csr_array
 
 from .model import (
     EQ,
@@ -119,18 +120,29 @@ class _Arrays:
             return -self.c, -self.c0
         return self.c, self.c0
 
-    def _matrix(self, row_scale: np.ndarray) -> csr_array:
-        """The row matrix with row ``i`` multiplied by ``row_scale[i]``."""
+    def _matrix(self, row_scale: np.ndarray):
+        """The row matrix (CSR) with row ``i`` multiplied by ``row_scale[i]``."""
+        from scipy.sparse import csc_array
+
         scaled = self.cval * row_scale[self.crow]
         return csc_array((scaled, self.crow, self.cptr), shape=(self.m, self.n)).tocsr()
 
-    def linear_constraint(self) -> LinearConstraint | None:
-        """All rows as one two-sided ``LinearConstraint`` for ``milp``."""
+    def linear_constraint(self, extra_columns: int = 0):
+        """All rows as one two-sided ``LinearConstraint`` for ``milp``, or None.
+
+        ``extra_columns`` empty columns are appended after the model's own.
+        """
+        from scipy.optimize import LinearConstraint
+        from scipy.sparse import csr_array, hstack
+
         if self.m == 0:
             return None
         lo = np.where(self.senses >= 0, self.b, -np.inf)
         up = np.where(self.senses <= 0, self.b, np.inf)
-        return LinearConstraint(self._matrix(np.ones(self.m)), lo, up)
+        A = self._matrix(np.ones(self.m))
+        if extra_columns:
+            A = hstack([A, csr_array((self.m, extra_columns))], format="csr")
+        return LinearConstraint(A, lo, up)
 
     def split_rows(self):
         """``(A_ub, b_ub, A_eq, b_eq)`` for ``linprog``; ``>=`` rows are negated."""
@@ -187,6 +199,8 @@ _LP_STATUS = {0: Status.OPTIMAL, 1: Status.NO_INCUMBENT, 2: Status.INFEASIBLE, 3
 
 def solve_lp(model: ModelInstance, options: SolveOptions | None = None) -> SolveReport:
     """Solve the continuous relaxation (integrality dropped) with HiGHS."""
+    from scipy.optimize import linprog
+
     options = options or SolveOptions()
     arr = _Arrays(model)
     c, c0 = arr.csigned()
@@ -234,17 +248,28 @@ def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> Sol
 
     ``lp_iterations`` is 0: HiGHS does not report a MIP's simplex count.
     """
+    from scipy.optimize import Bounds, milp
+
     options = options or SolveOptions()
     arr = _Arrays(model)
     c, c0 = arr.csigned()
     integrality = np.zeros(arr.n)
     integrality[arr.int_ids] = 1
+    lower, upper = arr.lower, arr.upper
+    extra = 0
+    if c0:
+        # HiGHS measures its relative gap on the objective it is given, so the
+        # constant rides along as a column fixed at 1
+        c = np.append(c, c0)
+        integrality = np.append(integrality, 0)
+        lower, upper = np.append(lower, 1.0), np.append(upper, 1.0)
+        extra = 1
     t0 = time.perf_counter()
     res = milp(
         c,
         integrality=integrality,
-        bounds=Bounds(arr.lower, arr.upper),
-        constraints=arr.linear_constraint(),
+        bounds=Bounds(lower, upper),
+        constraints=arr.linear_constraint(extra),
         options={
             "time_limit": options.time_limit,
             "node_limit": options.node_limit,
@@ -257,20 +282,16 @@ def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> Sol
     dual = res.mip_dual_bound
     if dual is None and status is Status.OPTIMAL:
         dual = res.fun  # a model without integers reports no MIP bound
-    bound_min = -math.inf if dual is None else float(dual) + c0
+    bound_min = -math.inf if dual is None else float(dual)
     if status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
         return _no_solution(arr, status, nodes, 0, wall, bound_min)
 
-    x = np.clip(res.x, arr.lower, arr.upper)
-    obj_min = float(res.fun) + c0
+    x = np.clip(res.x[: arr.n], arr.lower, arr.upper)
+    obj_min = float(res.fun)
     bound_min = min(bound_min, obj_min)
-    gap = _gap(obj_min, bound_min)
-    if status is Status.OPTIMAL:
-        # HiGHS measures its gap without the objective constant
-        gap = min(gap, options.mip_gap)
     sol = _solution(arr, x, obj_min, status)
     ext = -1.0 if arr.maximize else 1.0
-    return SolveReport(status, sol, ext * bound_min, gap, nodes, 0, wall)
+    return SolveReport(status, sol, ext * bound_min, _gap(obj_min, bound_min), nodes, 0, wall)
 
 
 def brute_force_milp(

@@ -170,12 +170,10 @@ class Solution:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Limits and tolerances for one solve."""
+    """Limits for one solve."""
 
     time_limit: float = 60.0
     mip_gap: float = 1e-4
-    integrality_tolerance: float = 1e-6
-    feasibility_tolerance: float = 1e-6
     node_limit: int = 10**9
     seed: int = 0
 
@@ -184,8 +182,6 @@ class SolveOptions:
             raise ModelError("limits must be positive")
         if not 0 <= self.mip_gap < 1:
             raise ModelError("mip_gap must lie in [0, 1)")
-        if self.integrality_tolerance <= 0 or self.feasibility_tolerance <= 0:
-            raise ModelError("tolerances must be positive")
 
 
 class ModelInstance:

@@ -262,6 +262,30 @@ def test_node_limit_reports_limit_status():
     assert rep.gap > 0
 
 
+def test_gap_counts_objective_constant():
+    # a constant that nearly cancels the objective: a 1 % gap on the raw
+    # objective would be a gap of tens of percent on the true one
+    rng = np.random.default_rng(1)
+    m = ModelInstance("offset", "maximize")
+    ids = [m.add_variable(f"b{k}", Kind.BINARY, 0, 1) for k in range(25)]
+    w = rng.uniform(1, 10, size=25)
+    p = w + rng.uniform(0, 1, size=25)
+    for vid, pk in zip(ids, p):
+        m.add_objective_term(vid, float(pk))
+    m.add_constraint({vid: float(wk) for vid, wk in zip(ids, w)}, LE, float(w.sum() / 2), "cap")
+    m.add_objective_constant(-79.0)
+    m.seal()
+    exact = solve_milp(m, SolveOptions(mip_gap=1e-9))
+    assert exact.status is Status.OPTIMAL
+    rep = solve_milp(m, SolveOptions(mip_gap=0.01))
+    assert rep.status is Status.OPTIMAL
+    obj, bound = rep.incumbent.objective, rep.best_bound
+    assert obj == pytest.approx(m.evaluate_solution(rep.incumbent.values)[0], abs=1e-7)
+    assert obj <= exact.incumbent.objective + 1e-7 <= bound + 2e-7
+    assert rep.gap == pytest.approx(abs(obj - bound) / max(1.0, abs(obj)))
+    assert rep.gap <= 0.01
+
+
 @pytest.mark.parametrize(
     "status, has_x, nodes, expected",
     [

@@ -186,8 +186,6 @@ def test_solve_options_validation():
         SolveOptions(time_limit=0)
     with pytest.raises(ModelError):
         SolveOptions(mip_gap=1.0)
-    with pytest.raises(ModelError):
-        SolveOptions(integrality_tolerance=0)
 
 
 def test_lowered_structure():
