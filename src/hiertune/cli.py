@@ -119,7 +119,6 @@ def _options(cfg: dict, gap_key: str = "mip_gap") -> SolveOptions:
     return SolveOptions(
         time_limit=float(cfg["time_limit"]),
         mip_gap=float(cfg[gap_key]),
-        seed=int(cfg["seed"]),
     )
 
 
@@ -151,6 +150,7 @@ def _summary_payload(cfg: dict, mode: str, trace, wall: float) -> dict:
         "seed": trace.seed,
         "threads": cfg["threads"],
         "evaluations": len(trace.results),
+        "design_cache_hits": sum(r.design_hit for r in trace.results),
         "best_rho": list(best.rho),
         "best_objective": best.objective,
         "best_profit": -best.objective,

@@ -7,9 +7,20 @@ maximize models are negated).  Any infeasible or incumbent-less stage maps
 to a large positive sentinel so the derivative-free tuner can keep going.
 
 ``tune`` drives a DFO over the parameter box recording every unique
-evaluation (bit-identical parameter vectors are served from a cache),
-``transfer_tune`` restricts the box around a previously tuned vector, and
-``emit_trace`` writes the plot-ready CSV.
+evaluation, ``transfer_tune`` restricts the box around a previously tuned
+vector, and ``emit_trace`` writes the plot-ready CSV.
+
+Within one ``tune`` call two caches, both keyed exactly (no rounding), keep
+repeated work out of the loop:
+
+* the parameter cache keys on the clipped parameter vector; a repeated
+  vector is answered without an evaluation and without spending budget;
+* the design cache keys on the extracted decision; the weekly low-level
+  models of a decision are solved once, and every later evaluation whose
+  decision compares equal reuses their objective, feasibility and reports.
+
+The final re-solve of the best point uses other options and bypasses the
+design cache.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ import itertools
 import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -53,9 +64,11 @@ class TwoLevelProblem:
 
     ``build_high(rho)`` returns the parameterized high-level model;
     ``extract(model, solution)`` pulls the decisions to pin; ``build_lows``
-    returns weighted low-level sub-models for those decisions.  Weights must
-    be positive and sum to 1.  The sentinel must exceed any attainable true
-    objective (the problem author's responsibility).
+    returns weighted low-level sub-models for those decisions.  Decisions
+    must be hashable, and decisions that compare equal must give the same
+    low-level models: ``tune`` solves them once per distinct decision.
+    Weights must be positive and sum to 1.  The sentinel must exceed any
+    attainable true objective (the problem author's responsibility).
     """
 
     bounds: BoxDomain
@@ -87,6 +100,8 @@ class EvalResult:
     # seconds from the start of the ``tune`` call to the end of this
     # evaluation, on one monotonic clock; 0 outside ``tune``
     finished_at: float = 0.0
+    # a lower-index evaluation of the same ``tune`` call had an equal decision
+    design_hit: bool = False
 
 
 @dataclass
@@ -118,13 +133,65 @@ def _oriented(report: SolveReport, model: ModelInstance) -> float:
     return -obj if model.sense is Sense.MAXIMIZE else obj
 
 
+@dataclass(frozen=True)
+class _Weekly:
+    """The low-level part of an evaluation: what one decision scores."""
+
+    objective: float
+    feasible: bool
+    reports: tuple[SolveReport, ...]
+
+
+def _solve_lows(problem: TwoLevelProblem, decision: Any) -> _Weekly:
+    reports: list[SolveReport] = []
+    objective = 0.0
+    for weight, low_model in problem.build_lows(decision):
+        rep = solve_model(low_model, problem.low_options)
+        reports.append(rep)
+        if rep.status not in _USABLE:
+            return _Weekly(problem.sentinel, False, tuple(reports))
+        objective += weight * _oriented(rep, low_model)
+    return _Weekly(objective, True, tuple(reports))
+
+
+class _DesignCache:
+    """Weekly low-level results per decision, each solved once.
+
+    A decision that another thread is solving is waited for; an exception
+    raised while solving it reaches every evaluation that asks for it.
+    """
+
+    def __init__(self, problem: TwoLevelProblem):
+        self.problem = problem
+        self.lock = threading.Lock()
+        self.entries: dict[Any, Future] = {}
+
+    def __call__(self, decision: Any) -> _Weekly:
+        with self.lock:
+            entry = self.entries.get(decision)
+            owner = entry is None
+            if owner:
+                entry = self.entries[decision] = Future()
+        if owner:
+            try:
+                entry.set_result(_solve_lows(self.problem, decision))
+            except BaseException as exc:
+                entry.set_exception(exc)
+        return entry.result()
+
+
 def evaluate(
-    problem: TwoLevelProblem, rho: Sequence[float], index: int = 0, requested: Sequence[float] | None = None
+    problem: TwoLevelProblem,
+    rho: Sequence[float],
+    index: int = 0,
+    requested: Sequence[float] | None = None,
+    designs: _DesignCache | None = None,
 ) -> EvalResult:
     """One pass through the hierarchy at parameters ``rho``.
 
     ``rho`` must lie inside the declared box (points outside are a caller
     error, distinct from model infeasibility, which yields the sentinel).
+    With ``designs``, the low-level results come from that cache.
     """
     problem.bounds.require(rho)
     rho = np.asarray(rho, dtype=float)
@@ -143,20 +210,11 @@ def evaluate(
 
     decision = problem.extract(high_model, high_report.incumbent)
     t1 = time.perf_counter()
-    low_reports: list[SolveReport] = []
-    objective = 0.0
-    feasible = True
-    for weight, low_model in problem.build_lows(decision):
-        rep = solve_model(low_model, problem.low_options)
-        low_reports.append(rep)
-        if rep.status not in _USABLE:
-            feasible = False
-            objective = problem.sentinel
-            break
-        objective += weight * _oriented(rep, low_model)
+    weekly = _solve_lows(problem, decision) if designs is None else designs(decision)
     t_low = time.perf_counter() - t1
     return EvalResult(
-        rho_t, requested, clipped, objective, feasible, decision, high_report, low_reports, t_high, t_low, index
+        rho_t, requested, clipped, weekly.objective, weekly.feasible, decision,
+        high_report, list(weekly.reports), t_high, t_low, index,
     )
 
 
@@ -172,6 +230,7 @@ class _CachedObjective:
         self.budget = budget
         self.threads = max(1, threads)
         self.cache: dict[tuple[float, ...], EvalResult] = {}
+        self.designs = _DesignCache(problem)
         self.results: list[EvalResult] = []
         self.lock = threading.Lock()
         self.next_index = 0
@@ -203,7 +262,7 @@ class _CachedObjective:
 
         def run(k: int) -> EvalResult:
             key, clipped = runnable[k]
-            res = evaluate(self.problem, clipped, index=start + k, requested=key)
+            res = evaluate(self.problem, clipped, index=start + k, requested=key, designs=self.designs)
             res.finished_at = time.perf_counter() - self.started
             return res
 
@@ -244,10 +303,13 @@ def tune(
 ) -> TuningTrace:
     """Drive the configured DFO over the box, recording every evaluation.
 
-    The budget counts unique black-box evaluations: repeated parameter
-    vectors are served from the cache without consuming budget.  After the
-    search, the best point is re-solved once at the problem's tighter final
-    options when those are set.
+    The budget counts unique black-box evaluations: a repeated clipped
+    parameter vector is served from the parameter cache without consuming
+    budget.  An evaluation whose extracted decision equals an earlier one's
+    takes its low-level results from the design cache and is marked
+    ``design_hit``.  After the search, the best point is re-solved once at
+    the problem's tighter final options when those are set; that re-solve
+    bypasses the design cache.
     """
     if initial_rho is not None:
         problem.bounds.require(initial_rho)
@@ -259,6 +321,11 @@ def tune(
     except _BudgetExhausted:
         pass
     results = sorted(front.results, key=lambda r: r.index)
+    seen = set()
+    for r in results:
+        if r.decision is not None:
+            r.design_hit = r.decision in seen
+            seen.add(r.decision)
     trace = TuningTrace(results, config.seed, config.algorithm, config.budget)
     if problem.final_low_options is not None and results:
         best = trace.best
@@ -301,6 +368,8 @@ def emit_trace(trace: TuningTrace, path) -> None:
 
     ``cumulative_wall_time`` is the running maximum of the evaluations' end
     stamps, so it never exceeds the real time the tuning run took.
+    ``design_cache_hit`` is 1 when the row's low-level results came from an
+    earlier evaluation with an equal decision.
     """
     if not trace.results:
         raise ValueError("cannot emit an empty trace")
@@ -308,7 +377,7 @@ def emit_trace(trace: TuningTrace, path) -> None:
     header = (
         ["evaluation"]
         + [f"rho_{k + 1}" for k in range(dim)]
-        + ["objective", "feasible", "best_so_far", "cumulative_wall_time"]
+        + ["objective", "feasible", "best_so_far", "cumulative_wall_time", "design_cache_hit"]
     )
     best = trace.best_so_far()
     clock = 0.0
@@ -320,7 +389,7 @@ def emit_trace(trace: TuningTrace, path) -> None:
             writer.writerow(
                 [r.index]
                 + [repr(c) for c in r.rho]
-                + [repr(r.objective), int(r.feasible), repr(b), repr(clock)]
+                + [repr(r.objective), int(r.feasible), repr(b), repr(clock), int(r.design_hit)]
             )
 
 

@@ -185,24 +185,63 @@ def save_instance(
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _need(obj: dict, key: str, path: str) -> Any:
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise InstanceError(f"{path}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _array(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise InstanceError(f"{path}: expected an array, got {type(value).__name__}")
+    return value
+
+
+def _string(value: Any, path: str) -> str:
+    if not isinstance(value, str):
+        raise InstanceError(f"{path}: expected a string, got {value!r}")
+    return value
+
+
+def _integer(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InstanceError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _number(value: Any, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InstanceError(f"{path}: expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _field(obj: dict, key: str, path: str, parse, default: Any = None) -> Any:
+    """``obj[key]`` checked by ``parse``; required unless a default is given."""
     if key not in obj:
-        raise InstanceError(f"{path}.{key}: missing")
-    return obj[key]
+        if default is None:
+            raise InstanceError(f"{path}.{key}: missing")
+        return default
+    return parse(obj[key], f"{path}.{key}")
+
+
+def _rows(obj: dict, key: str, path: str):
+    """(path, object) for each entry of the array ``obj[key]``."""
+    for k, row in enumerate(_field(obj, key, path, _array)):
+        p = f"{path}.{key}[{k}]"
+        yield p, _object(row, p)
 
 
 def _table_from_payload(payload: dict, path: str) -> dict[tuple[str, str, int], float]:
     table = {}
     for task, per_resource in payload.items():
-        for resource, per_theta in per_resource.items():
-            for theta, value in per_theta.items():
+        for resource, per_theta in _object(per_resource, f"{path}.{task}").items():
+            for theta, value in _object(per_theta, f"{path}.{task}.{resource}").items():
+                p = f"{path}.{task}.{resource}.{theta}"
                 try:
                     key = (task, resource, int(theta))
                 except ValueError:
-                    raise InstanceError(f"{path}.{task}.{resource}.{theta}: bad offset") from None
-                if not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise InstanceError(f"{path}.{task}.{resource}.{theta}: bad value {value!r}")
-                table[key] = float(value)
+                    raise InstanceError(f"{p}: bad offset") from None
+                table[key] = _number(value, p)
     return table
 
 
@@ -210,7 +249,7 @@ def load_instance(path: str | Path) -> tuple[RtnNetwork, ScenarioSet, int]:
     """Load and validate an instance file.
 
     Raises :class:`InstanceError` naming the JSON path of the first
-    violation.
+    violation, wrongly typed and non-finite values included.
     """
     try:
         payload = json.loads(Path(path).read_text())
@@ -218,67 +257,70 @@ def load_instance(path: str | Path) -> tuple[RtnNetwork, ScenarioSet, int]:
         raise InstanceError(f"$: cannot read {path} ({exc})") from None
     except json.JSONDecodeError as exc:
         raise InstanceError(f"$: not valid JSON ({exc})") from None
+    payload = _object(payload, "$")
     if payload.get("format") != FORMAT:
         raise InstanceError(f"$.format: expected {FORMAT!r}, got {payload.get('format')!r}")
-    hours_per_day = _need(payload, "hours_per_day", "$")
-    if not isinstance(hours_per_day, int) or not 1 <= hours_per_day <= 24:
+    hours_per_day = _field(payload, "hours_per_day", "$", _integer)
+    if not 1 <= hours_per_day <= 24:
         raise InstanceError(f"$.hours_per_day: must be an integer in 1..24, got {hours_per_day!r}")
 
-    tasks = []
-    for k, row in enumerate(_need(payload, "tasks", "$")):
-        p = f"$.tasks[{k}]"
-        tasks.append(
-            Task(
-                name=str(_need(row, "name", p)),
-                vessel=str(_need(row, "vessel", p)),
-                duration=int(_need(row, "duration", p)),
-                min_batch_fraction=float(row.get("min_batch_fraction", 0.0)),
-                startup_cost=float(row.get("startup_cost", 0.0)),
-            )
+    tasks = [
+        Task(
+            name=_field(row, "name", p, _string),
+            vessel=_field(row, "vessel", p, _string),
+            duration=_field(row, "duration", p, _integer),
+            min_batch_fraction=_field(row, "min_batch_fraction", p, _number, 0.0),
+            startup_cost=_field(row, "startup_cost", p, _number, 0.0),
         )
-    materials = []
-    for k, row in enumerate(_need(payload, "materials", "$")):
-        p = f"$.materials[{k}]"
-        materials.append(
-            Material(
-                name=str(_need(row, "name", p)),
-                mclass=str(_need(row, "class", p)),
-                price=float(_need(row, "price", p)),
-                storage_cost=float(row.get("storage_cost", 0.0)),
-                storage_cap=float(_need(row, "storage_cap", p)),
-            )
+        for p, row in _rows(payload, "tasks", "$")
+    ]
+    materials = [
+        Material(
+            name=_field(row, "name", p, _string),
+            mclass=_field(row, "class", p, _string),
+            price=_field(row, "price", p, _number),
+            storage_cost=_field(row, "storage_cost", p, _number, 0.0),
+            storage_cap=_field(row, "storage_cap", p, _number),
         )
-    vessels = []
-    for k, row in enumerate(_need(payload, "vessels", "$")):
-        p = f"$.vessels[{k}]"
-        vessels.append(
-            Vessel(
-                name=str(_need(row, "name", p)),
-                unit_cost=float(row.get("unit_cost", 0.0)),
-                cap=float(_need(row, "cap", p)),
-            )
+        for p, row in _rows(payload, "materials", "$")
+    ]
+    vessels = [
+        Vessel(
+            name=_field(row, "name", p, _string),
+            unit_cost=_field(row, "unit_cost", p, _number, 0.0),
+            cap=_field(row, "cap", p, _number),
         )
-    nu = _table_from_payload(_need(payload, "nu", "$"), "$.nu")
-    mu = _table_from_payload(_need(payload, "mu", "$"), "$.mu")
+        for p, row in _rows(payload, "vessels", "$")
+    ]
+    nu = _table_from_payload(_field(payload, "nu", "$", _object), "$.nu")
+    mu = _table_from_payload(_field(payload, "mu", "$", _object), "$.mu")
+    penalty = _field(payload, "penalty", "$", _number)
     try:
-        network = RtnNetwork(
-            tasks, materials, vessels, nu, mu, float(_need(payload, "penalty", "$"))
-        )
+        network = RtnNetwork(tasks, materials, vessels, nu, mu, penalty)
     except ModelError as exc:
         raise InstanceError(f"$.network: {exc}") from None
 
     weeks = []
-    for k, row in enumerate(_need(payload, "weeks", "$")):
-        p = f"$.weeks[{k}]"
-        days = int(_need(row, "days", p))
-        demand = {str(name): tuple(float(x) for x in series) for name, series in _need(row, "demand", p).items()}
+    for p, row in _rows(payload, "weeks", "$"):
+        days = _field(row, "days", p, _integer)
+        if days < 1:
+            raise InstanceError(f"{p}.days: must be positive, got {days}")
+        demand = {}
+        for name, series in _field(row, "demand", p, _object).items():
+            q = f"{p}.demand.{name}"
+            demand[name] = tuple(_number(x, f"{q}[{d}]") for d, x in enumerate(_array(series, q)))
         profile = DemandProfile(days, demand)
         try:
             profile.validate(network)
         except ModelError as exc:
             raise InstanceError(f"{p}: {exc}") from None
         weeks.append(profile)
-    weights = [float(w) for w in payload.get("week_weights", [])] or [1.0 / len(weeks)] * len(weeks)
+    if not weeks:
+        raise InstanceError("$.weeks: needs at least one week")
+    weights = [
+        _number(w, f"$.week_weights[{k}]")
+        for k, w in enumerate(_field(payload, "week_weights", "$", _array, []))
+    ] or [1.0 / len(weeks)] * len(weeks)
     try:
         scenarios = ScenarioSet(tuple(weeks), tuple(weights))
     except ModelError as exc:

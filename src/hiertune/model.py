@@ -175,7 +175,6 @@ class SolveOptions:
     time_limit: float = 60.0
     mip_gap: float = 1e-4
     node_limit: int = 10**9
-    seed: int = 0
 
     def __post_init__(self):
         if self.time_limit <= 0 or self.node_limit <= 0:

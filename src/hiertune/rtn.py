@@ -255,8 +255,8 @@ class ScenarioSet:
     def __post_init__(self):
         if len(self.weeks) != len(self.weights) or not self.weeks:
             raise ModelError("scenario set needs one weight per profile")
-        if any(w <= 0 for w in self.weights):
-            raise ModelError("scenario weights must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.weights):
+            raise ModelError("scenario weights must be finite and positive")
         if abs(sum(self.weights) - 1.0) > 1e-9:
             raise ModelError("scenario weights must sum to 1")
 
@@ -270,6 +270,10 @@ class ScenarioSet:
 class RtnDesign:
     vessel_size: dict[str, float]
     storage_size: dict[str, float]
+
+    def __hash__(self) -> int:
+        # by value, consistent with the generated __eq__ on the two dicts
+        return hash((frozenset(self.vessel_size.items()), frozenset(self.storage_size.items())))
 
     def validate(self, network: RtnNetwork, tol: float = 1e-6) -> None:
         for v in network.vessels:

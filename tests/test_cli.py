@@ -163,3 +163,29 @@ def test_error_exit_codes(tmp_path):
     assert run(["report", tmp_path / "absent.json", "--out", out4]) == 2
     record = json.loads((out4 / "error.json").read_text())
     assert record["error"] == "config" and record["mode"] == "report"
+
+
+def test_nan_week_weight_exits_2(tmp_path, instance):
+    payload = json.loads(Path(instance).read_text())
+    payload["week_weights"] = [float("nan"), 0.5]
+    bad = tmp_path / "nan-weight.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "b"
+    code = run(["baseline", "--instance", bad, "--aggregation", "approach1", "--out", out] + FAST)
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "config" and "week_weights" in record["message"]
+    assert not (out / "summary.json").exists()
+
+
+def test_summary_counts_design_cache_hits(tmp_path, instance):
+    out = tmp_path / "t"
+    assert run(
+        ["tune", "--instance", instance, "--aggregation", "approach1", "--dfo", "pso",
+         "--budget", 8, "--seed", 9, "--out", out] + FAST
+    ) == 0
+    rows = list(csv.DictReader(open(out / "trace.csv")))
+    assert list(rows[0])[-2:] == ["cumulative_wall_time", "design_cache_hit"]
+    hits = sum(int(r["design_cache_hit"]) for r in rows)
+    assert hits > 0
+    assert json.loads((out / "summary.json").read_text())["design_cache_hits"] == hits

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from hiertune.engine import (
 )
 from hiertune.milp import solve_model
 from hiertune.model import GE, LE, Kind, ModelInstance, SolveOptions
-from hiertune.rtn import ScenarioSet, TunableParameters, make_two_level_problem
+from hiertune.rtn import RtnDesign, ScenarioSet, TunableParameters, make_two_level_problem
 
 from conftest import tiny_case
 
@@ -237,3 +238,87 @@ def test_rtn_degenerate_design_space():
         for r in ([1, 1, 1, 1, 1, 1], [20, 0.5, 3, 7, 0.1, 40])
     }
     assert len(objs) == 1
+
+
+def stepped_problem(fail_on=None, delay=0.0):
+    """The toy with a piecewise-constant decision, floor(x); counts low builds."""
+    base = dataclasses.replace(
+        toy_problem(), final_low_options=SolveOptions(mip_gap=1e-9, time_limit=30)
+    )
+    calls = []
+
+    def extract(model, solution):
+        return math.floor(base.extract(model, solution))
+
+    def build_lows(decision):
+        calls.append(decision)
+        time.sleep(delay)
+        if decision == fail_on:
+            raise RuntimeError(f"no low level for {decision}")
+        return base.build_lows(decision)
+
+    return dataclasses.replace(base, extract=extract, build_lows=build_lows), calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_design_cache_solves_each_decision_once(threads):
+    prob, calls = stepped_problem()
+    cfg = DfoConfig(algorithm="pso", budget=30, seed=3, swarm_size=6)
+    trace = tune(prob, cfg, initial_rho=[5.5], threads=threads)
+    decisions = [r.decision for r in trace.results]
+    assert len(set(decisions)) < len(decisions)
+    # once per distinct decision, plus the final re-solve, which bypasses the cache
+    assert trace.final is not None
+    assert sorted(calls[:-1]) == sorted(set(decisions))
+    assert calls[-1] == trace.final.decision
+    seen = set()
+    for r in trace.results:
+        assert r.design_hit == (r.decision in seen)
+        seen.add(r.decision)
+        assert evaluate(prob, np.array(r.rho)).objective == r.objective
+
+
+def test_design_cache_same_at_one_and_two_threads():
+    net, dem, hpd = tiny_case(61, days=2, hpd=4, max_duration=2)
+    prob = make_two_level_problem(
+        net, ScenarioSet.uniform([dem]), "single", hpd, 3, high_options=FAST, low_options=FAST
+    )
+    cfg = DfoConfig(algorithm="pso", budget=16, seed=5, swarm_size=4)
+    start = TunableParameters.baseline().to_array()
+
+    def rows(threads):
+        trace = tune(prob, cfg, initial_rho=start, threads=threads)
+        return [(r.rho, r.objective, r.feasible, r.design_hit) for r in trace.results]
+
+    one = rows(1)
+    assert any(hit for *_, hit in one)
+    assert rows(2) == one
+
+
+def test_design_cache_error_reaches_every_waiting_evaluation():
+    # every point shares one decision, whose low-level build fails after a pause,
+    # so the second thread waits on it while the first is still building
+    prob, calls = stepped_problem(fail_on=0, delay=0.2)
+    prob = dataclasses.replace(prob, extract=lambda model, solution: 0)
+    cfg = DfoConfig(algorithm="pso", budget=12, seed=2, swarm_size=6)
+    outcome = {}
+
+    def run():
+        try:
+            tune(prob, cfg, initial_rho=[5.0], threads=2)
+        except RuntimeError as exc:
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert "no low level for 0" in str(outcome["error"])
+    assert calls == [0]
+
+
+def test_rtn_design_hash_by_value():
+    a = RtnDesign({"V0": 1.5, "V1": 2.0}, {"M0": 0.0})
+    b = RtnDesign({"V1": 2.0, "V0": 1.5}, {"M0": 0.0})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, RtnDesign({"V0": 1.5, "V1": 2.5}, {"M0": 0.0})}) == 2

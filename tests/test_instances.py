@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hiertune.instances import (
     InstanceError,
@@ -9,6 +11,7 @@ from hiertune.instances import (
     load_instance,
     save_instance,
 )
+from hiertune.model import ModelError
 from hiertune.rtn import ScenarioSet
 
 
@@ -88,3 +91,72 @@ def test_loader_reports_first_violation_path(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InstanceError, match=r"\$: not valid JSON"):
         load_instance(path)
+
+
+def test_loader_rejects_wrongly_typed_fields(tmp_path):
+    path, payload = _payload(tmp_path)
+    payload["tasks"] = [1]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InstanceError, match=r"\$\.tasks\[0\]"):
+        load_instance(path)
+
+    path, payload = _payload(tmp_path)
+    payload["tasks"][0]["duration"] = "x"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InstanceError, match=r"\$\.tasks\[0\]\.duration"):
+        load_instance(path)
+
+
+def test_loader_rejects_nan_week_weight(tmp_path):
+    path, payload = _payload(tmp_path)
+    payload["week_weights"] = [math.nan]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InstanceError, match=r"\$\.week_weights\[0\]"):
+        load_instance(path)
+
+
+def test_scenario_weights_must_be_finite():
+    net = generate_network(1, n_tasks=1)
+    weeks = (generate_demand(2, net, days=2), generate_demand(3, net, days=2))
+    for weights in ((math.nan, 0.5), (math.inf, 0.5)):
+        with pytest.raises(ModelError, match="finite"):
+            ScenarioSet(weeks, weights)
+
+
+def _value_paths(node, prefix=()):
+    """Key paths of every value inside a JSON payload, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+_MISSING = object()
+_MUTATIONS = st.sampled_from(
+    [_MISSING, math.nan, math.inf, -1, -2.5, 0, "x", None, True, [], [1], {}, {"a": 1}]
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_loader_fuzz_one_field(tmp_path, data):
+    # one field of a generated instance mutated: the loader returns or names the problem
+    net = generate_network(4, n_tasks=2)
+    weeks = [generate_demand(5 + k, net, days=2) for k in range(2)]
+    path = tmp_path / "fuzz.json"
+    save_instance(path, net, ScenarioSet.uniform(weeks), hours_per_day=3)
+    payload = json.loads(path.read_text())
+    where = data.draw(st.sampled_from(list(_value_paths(payload))))
+    value = data.draw(_MUTATIONS)
+    parent = payload
+    for key in where[:-1]:
+        parent = parent[key]
+    if value is _MISSING:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    path.write_text(json.dumps(payload))
+    try:
+        load_instance(path)
+    except InstanceError:
+        pass
