@@ -3,8 +3,13 @@
 Three interchangeable algorithms behind one call signature: a mesh-refining
 pattern search (coordinate polls plus seeded random directions), a standard
 global-best particle swarm, and uniform random search as the baseline.  All
-evaluated points are clipped into the box, every evaluation is logged, and a
-fixed seed reproduces the run exactly.
+evaluated points are clipped into the box, and a fixed seed reproduces the run
+exactly.
+
+One evaluator sits between every algorithm and the objective.  It caches each
+value under the exact point, so a repeated point is answered from the cache,
+neither evaluated again nor charged to the budget; the budget counts distinct
+points, and the log holds each distinct point once, in evaluation order.
 """
 
 from __future__ import annotations
@@ -97,8 +102,6 @@ class DfoConfig:
     inertia: float = 0.72
     cognitive: float = 1.49
     social: float = 1.49
-    # exploration multiplier (larger when the start point is known infeasible)
-    init_scale: float = 1.0
 
     def __post_init__(self):
         if self.budget < 1:
@@ -118,45 +121,59 @@ class DfoResult:
     algorithm: str
 
 
-class _Evaluator:
-    """Budgeted, logging wrapper around the raw objective."""
+# A search whose requests are all cached spends no budget: a swarm collapsed
+# onto a clipped corner would request the same points forever.  So a search
+# is also stopped after this many requested points per unit of budget.
+_REQUESTS_PER_EVALUATION = 50
 
-    def __init__(self, objective, batch, domain, budget):
+
+class _Evaluator:
+    """The budget, the value cache and the log between a search and its objective.
+
+    A call takes the points one search step requests.  Only unseen points are
+    evaluated, each once; when the budget or the request allowance runs out
+    inside the call, values come back for the points before the first one left
+    unevaluated, and ``remaining`` reads 0 so the search ends.
+    """
+
+    def __init__(self, objective, batch, budget):
         self.objective = objective
         self.batch = batch
-        self.domain = domain
         self.budget = budget
-        self.log: list[tuple[tuple[float, ...], float]] = []
-        self.best_x: np.ndarray | None = None
-        self.best_f = np.inf
-
-    @property
-    def n_evals(self) -> int:
-        return len(self.log)
+        self.requests_left = _REQUESTS_PER_EVALUATION * budget
+        # every distinct point's value, in evaluation order: the run's log
+        self.cache: dict[tuple[float, ...], float] = {}
 
     @property
     def remaining(self) -> int:
-        return self.budget - self.n_evals
+        return self.budget - len(self.cache) if self.requests_left > 0 else 0
 
     def __call__(self, points: list[np.ndarray]) -> list[float]:
-        points = points[: max(self.remaining, 0)]
-        if not points:
-            return []
-        if self.batch is not None:
-            values = list(self.batch(points))
-        else:
-            values = [float(self.objective(p)) for p in points]
-        for p, v in zip(points, values):
-            v = float(v)
-            self.log.append((tuple(float(c) for c in p), v))
-            if v < self.best_f:
-                self.best_f = v
-                self.best_x = np.array(p, dtype=float)
-        return values
+        points = points[: self.requests_left]
+        self.requests_left -= len(points)
+        keys = [tuple(float(c) for c in p) for p in points]
+        room = self.budget - len(self.cache)
+        fresh: dict[tuple[float, ...], np.ndarray] = {}
+        for key, p in zip(keys, points):
+            if key not in self.cache and key not in fresh and len(fresh) < room:
+                fresh[key] = p
+        if fresh:
+            todo = list(fresh.values())
+            values = self.batch(todo) if self.batch is not None else [self.objective(p) for p in todo]
+            for key, v in zip(fresh, values):
+                self.cache[key] = float(v)
+        answered = []
+        for key in keys:
+            if key not in self.cache:
+                break
+            answered.append(self.cache[key])
+        return answered
 
     def result(self, algorithm: str) -> DfoResult:
-        assert self.best_x is not None
-        return DfoResult(self.best_x, self.best_f, self.log, self.n_evals, algorithm)
+        log = list(self.cache.items())
+        # the earliest point wins ties
+        best_x, best_f = min(log, key=lambda entry: entry[1])
+        return DfoResult(np.array(best_x), best_f, log, len(log), algorithm)
 
 
 def _pattern_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) -> DfoResult:
@@ -165,7 +182,7 @@ def _pattern_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) ->
     width = domain.width
     x = domain.clip(x0 if x0 is not None else domain.center())
     f = ev([x])[0]
-    mesh = min(config.mesh_init * config.init_scale, 1.0)
+    mesh = config.mesh_init
     while ev.remaining > 0 and mesh > config.mesh_tol:
         pts = []
         for d in range(n):
@@ -181,8 +198,6 @@ def _pattern_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) ->
                 norm = float(np.linalg.norm(u))
             pts.append(domain.clip(x + mesh * width * (u / norm)))
         vals = ev(pts)
-        if not vals:
-            break
         k = int(np.argmin(vals))
         if vals[k] < f:
             x = np.array(pts[k])
@@ -201,8 +216,6 @@ def _pso(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) -> DfoResult:
     if x0 is not None:
         X[0] = domain.clip(x0)
     V = np.zeros_like(X)
-    if config.init_scale != 1.0:
-        V = (config.init_scale - 1.0) * rng.uniform(-0.5, 0.5, X.shape) * domain.width
 
     vals = ev([X[i] for i in range(swarm)])
     P = X[: len(vals)].copy()
@@ -255,12 +268,17 @@ def run_dfo(
 ) -> DfoResult:
     """Minimize ``objective`` over the box with the configured algorithm.
 
-    ``batch``, when given, evaluates a list of points at once (the caller may
-    parallelize); results must match pointwise evaluation.
+    ``config.budget`` counts distinct points: each is evaluated once, and a
+    repeated point is answered from the run's cache.  ``batch``, when given,
+    evaluates a list of unseen, distinct points at once in place of
+    ``objective`` (the caller may parallelize); results must match pointwise
+    evaluation.  The search ends when the budget is spent, when the algorithm
+    stops on its own, or after ``50 * budget`` requested points, which stops a
+    search that only revisits cached points.
     """
     if config.algorithm not in ALGORITHMS:
         raise DomainError(f"unknown DFO algorithm {config.algorithm!r}")
     if x0 is not None:
         domain.require(x0)
-    ev = _Evaluator(objective, batch, domain, config.budget)
+    ev = _Evaluator(objective, batch, config.budget)
     return ALGORITHMS[config.algorithm](ev, domain, config, x0)

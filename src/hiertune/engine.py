@@ -13,11 +13,13 @@ vector, and ``emit_trace`` writes the plot-ready CSV.
 Within one ``tune`` call two caches, both keyed exactly (no rounding), keep
 repeated work out of the loop:
 
-* the parameter cache keys on the clipped parameter vector; a repeated
-  vector is answered without an evaluation and without spending budget;
-* the design cache keys on the extracted decision; the weekly low-level
-  models of a decision are solved once, and every later evaluation whose
-  decision compares equal reuses their objective, feasibility and reports.
+* the parameter cache lives in the DFO's evaluator (``dfo.run_dfo``): a
+  repeated parameter vector is answered there without an evaluation and
+  without spending budget, so ``tune``'s batch sees only unseen vectors;
+* the design cache lives here and keys on the extracted decision; the weekly
+  low-level models of a decision are solved once, and every later evaluation
+  whose decision compares equal reuses their objective, feasibility and
+  reports.
 
 The final re-solve of the best point uses other options and bypasses the
 design cache.
@@ -32,7 +34,7 @@ import math
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -81,14 +83,16 @@ class TwoLevelProblem:
     # tighter options for the one extra re-solve of the best point
     final_low_options: SolveOptions | None = None
 
+    def __post_init__(self):
+        if not math.isfinite(self.sentinel):
+            raise DomainError(f"sentinel must be finite, got {self.sentinel}")
+
 
 @dataclass
 class EvalResult:
     """One black-box evaluation: parameters in, true objective out."""
 
     rho: tuple[float, ...]
-    requested_rho: tuple[float, ...]
-    clipped: bool
     objective: float
     feasible: bool
     decision: Any
@@ -184,7 +188,6 @@ def evaluate(
     problem: TwoLevelProblem,
     rho: Sequence[float],
     index: int = 0,
-    requested: Sequence[float] | None = None,
     designs: _DesignCache | None = None,
 ) -> EvalResult:
     """One pass through the hierarchy at parameters ``rho``.
@@ -195,104 +198,23 @@ def evaluate(
     """
     problem.bounds.require(rho)
     rho = np.asarray(rho, dtype=float)
-    requested = tuple(float(x) for x in (rho if requested is None else requested))
     rho_t = tuple(float(x) for x in rho)
-    clipped = requested != rho_t
 
     t0 = time.perf_counter()
     high_model = problem.build_high(rho)
     high_report = solve_model(high_model, problem.high_options)
     t_high = time.perf_counter() - t0
     if high_report.status not in _USABLE:
-        return EvalResult(
-            rho_t, requested, clipped, problem.sentinel, False, None, high_report, [], t_high, 0.0, index
-        )
+        return EvalResult(rho_t, problem.sentinel, False, None, high_report, [], t_high, 0.0, index)
 
     decision = problem.extract(high_model, high_report.incumbent)
     t1 = time.perf_counter()
     weekly = _solve_lows(problem, decision) if designs is None else designs(decision)
     t_low = time.perf_counter() - t1
     return EvalResult(
-        rho_t, requested, clipped, weekly.objective, weekly.feasible, decision,
+        rho_t, weekly.objective, weekly.feasible, decision,
         high_report, list(weekly.reports), t_high, t_low, index,
     )
-
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-class _CachedObjective:
-    """Clipping, caching, budgeted front-end handed to the DFO."""
-
-    def __init__(self, problem: TwoLevelProblem, budget: int, threads: int):
-        self.problem = problem
-        self.budget = budget
-        self.threads = max(1, threads)
-        self.cache: dict[tuple[float, ...], EvalResult] = {}
-        self.designs = _DesignCache(problem)
-        self.results: list[EvalResult] = []
-        self.lock = threading.Lock()
-        self.next_index = 0
-        self.started = time.perf_counter()
-
-    def _admit(self, x) -> tuple[tuple[float, ...], np.ndarray]:
-        clipped = self.problem.bounds.clip(x)
-        return tuple(float(c) for c in clipped), clipped
-
-    def _reserve(self, n: int) -> tuple[int, bool]:
-        """Claim up to n evaluation slots; returns (start_index, all_granted)."""
-        with self.lock:
-            grant = min(n, self.budget - self.next_index)
-            start = self.next_index
-            self.next_index += grant
-            return start, grant
-
-    def evaluate_batch(self, points: list[np.ndarray]) -> list[float]:
-        keys = []
-        fresh: dict[tuple[float, ...], np.ndarray] = {}
-        for p in points:
-            key, clipped = self._admit(p)
-            keys.append((key, tuple(float(c) for c in np.asarray(p, dtype=float))))
-            if key not in self.cache and key not in fresh:
-                fresh[key] = clipped
-        todo = list(fresh.items())
-        start, grant = self._reserve(len(todo))
-        runnable = todo[:grant]
-
-        def run(k: int) -> EvalResult:
-            key, clipped = runnable[k]
-            res = evaluate(self.problem, clipped, index=start + k, requested=key, designs=self.designs)
-            res.finished_at = time.perf_counter() - self.started
-            return res
-
-        if runnable:
-            evaluated: list = [None] * len(runnable)
-            claim = itertools.count()
-
-            def drain() -> None:
-                # next() on a count is one C call, so no slot is claimed twice
-                while (k := next(claim)) < len(runnable):
-                    evaluated[k] = run(k)
-
-            # the calling thread takes a share too: one worker thread fewer
-            # is one malloc arena fewer for HiGHS to leave memory in
-            helpers = min(self.threads, len(runnable)) - 1
-            with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
-                futures = [pool.submit(drain) for _ in range(helpers)]
-                drain()
-                for f in futures:
-                    f.result()
-            with self.lock:
-                for res in evaluated:
-                    self.cache[res.rho] = res
-                    self.results.append(res)
-        if grant < len(todo):
-            raise _BudgetExhausted()
-        return [self.cache[key].objective for key, _ in keys]
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self.evaluate_batch([x])[0]
 
 
 def tune(
@@ -303,24 +225,49 @@ def tune(
 ) -> TuningTrace:
     """Drive the configured DFO over the box, recording every evaluation.
 
-    The budget counts unique black-box evaluations: a repeated clipped
-    parameter vector is served from the parameter cache without consuming
-    budget.  An evaluation whose extracted decision equals an earlier one's
-    takes its low-level results from the design cache and is marked
-    ``design_hit``.  After the search, the best point is re-solved once at
-    the problem's tighter final options when those are set; that re-solve
-    bypasses the design cache.
+    The budget counts unique black-box evaluations.  The DFO's evaluator
+    answers a repeated parameter vector from its cache without consuming
+    budget, and stops a search that only revisits cached vectors (see
+    ``dfo.run_dfo``); the batch it calls here receives only unseen vectors,
+    which run on ``threads`` threads, the calling thread among them.  An
+    evaluation whose extracted decision equals an earlier one's takes its
+    low-level results from the design cache and is marked ``design_hit``.
+    After the search, the best point is re-solved once at the problem's
+    tighter final options when those are set; that re-solve bypasses the
+    design cache.
     """
+    if threads < 1:
+        raise DomainError(f"threads must be at least 1, got {threads}")
     if initial_rho is not None:
         problem.bounds.require(initial_rho)
-    front = _CachedObjective(problem, config.budget, threads)
-    # let the DFO run until the unique-evaluation budget is used up
-    dfo_config = dataclasses.replace(config, budget=max(config.budget * 50, config.budget + 8))
-    try:
-        run_dfo(front, problem.bounds, dfo_config, x0=initial_rho, batch=front.evaluate_batch)
-    except _BudgetExhausted:
-        pass
-    results = sorted(front.results, key=lambda r: r.index)
+    designs = _DesignCache(problem)
+    results: list[EvalResult] = []
+    started = time.perf_counter()
+
+    def batch(points: list[np.ndarray]) -> list[float]:
+        start = len(results)
+        evaluated: list = [None] * len(points)
+        claim = itertools.count()
+
+        def drain() -> None:
+            # next() on a count is one C call, so no slot is claimed twice
+            while (k := next(claim)) < len(points):
+                res = evaluate(problem, points[k], index=start + k, designs=designs)
+                res.finished_at = time.perf_counter() - started
+                evaluated[k] = res
+
+        # the calling thread takes a share too: one worker thread fewer
+        # is one malloc arena fewer for HiGHS to leave memory in
+        helpers = min(threads, len(points)) - 1
+        with ThreadPoolExecutor(max_workers=max(helpers, 1)) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+            for f in futures:
+                f.result()
+        results.extend(evaluated)
+        return [r.objective for r in evaluated]
+
+    run_dfo(lambda x: batch([x])[0], problem.bounds, config, x0=initial_rho, batch=batch)
     seen = set()
     for r in results:
         if r.decision is not None:
@@ -343,7 +290,6 @@ def transfer_tune(
     seed: int = 0,
     algorithm: str = "pattern",
     threads: int = 1,
-    config: DfoConfig | None = None,
 ) -> TuningTrace:
     """Re-tune inside a small box centered on parameters tuned elsewhere.
 
@@ -354,10 +300,7 @@ def transfer_tune(
     problem.bounds.require(prior_best)
     sub = problem.bounds.shrink_around(prior_best, range_fraction)
     restricted = dataclasses.replace(problem, bounds=sub)
-    if config is None:
-        config = DfoConfig(algorithm=algorithm, budget=budget, seed=seed)
-    else:
-        config = dataclasses.replace(config, algorithm=algorithm, budget=budget, seed=seed)
+    config = DfoConfig(algorithm=algorithm, budget=budget, seed=seed)
     trace = tune(restricted, config, initial_rho=sub.clip(prior_best), threads=threads)
     trace.restricted_box = sub
     return trace

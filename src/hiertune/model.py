@@ -177,8 +177,9 @@ class SolveOptions:
     node_limit: int = 10**9
 
     def __post_init__(self):
-        if self.time_limit <= 0 or self.node_limit <= 0:
-            raise ModelError("limits must be positive")
+        # written as a comparison that NaN fails
+        if not 0 < self.time_limit < math.inf or self.node_limit <= 0:
+            raise ModelError("limits must be positive and finite")
         if not 0 <= self.mip_gap < 1:
             raise ModelError("mip_gap must lie in [0, 1)")
 

@@ -178,6 +178,21 @@ def test_nan_week_weight_exits_2(tmp_path, instance):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--threads", "0"), ("--threads", "-3"), ("--time-limit", "nan"), ("--sentinel", "nan")],
+)
+def test_bad_numeric_flag_exits_2(tmp_path, instance, flag, value):
+    out = tmp_path / "t"
+    code = run(
+        ["tune", "--instance", instance, "--aggregation", "approach1", "--budget", 3,
+         "--out", out] + FAST + [flag, value]
+    )
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "config"
+    assert not (out / "summary.json").exists()
+
+
 def test_summary_counts_design_cache_hits(tmp_path, instance):
     out = tmp_path / "t"
     assert run(

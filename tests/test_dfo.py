@@ -89,6 +89,23 @@ def test_pso_tiny_budget_exact():
     assert res.best_f == pytest.approx(min(v for _, v in res.log))
 
 
+def test_repeated_point_evaluated_once_and_not_charged():
+    # the swarm collapses onto the corner (1, 1) and then requests only points
+    # it has seen; the request stop, not the budget, ends the search
+    calls = []
+
+    def f(x):
+        calls.append(tuple(x))
+        return -(x[0] + x[1])
+
+    unit = BoxDomain((0.0, 0.0), (1.0, 1.0))
+    cfg = DfoConfig(algorithm="pso", budget=200, seed=1, swarm_size=4)
+    res = run_dfo(f, unit, cfg)
+    assert len(set(calls)) == len(calls) == res.n_evals < 200
+    assert [x for x, _ in res.log] == calls
+    assert res.best_f == -2.0
+
+
 def test_random_search_budget_one():
     cfg = DfoConfig(algorithm="random", budget=1, seed=5)
     res = run_dfo(sphere([0.0, 0.0]), BOX2, cfg)

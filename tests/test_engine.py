@@ -25,8 +25,8 @@ from conftest import tiny_case
 FAST = SolveOptions(mip_gap=1e-6, time_limit=30)
 
 
-def toy_problem(infeasible_below=None, maximize=False):
-    """1-D toy: the high level tracks rho, the low level scores |x - 3|."""
+def toy_problem(infeasible_below=None, maximize=False, target=3.0):
+    """1-D toy: the high level tracks rho, the low level scores |x - target|."""
     bounds = BoxDomain((0.0,), (10.0,))
 
     def build_high(rho):
@@ -46,7 +46,7 @@ def toy_problem(infeasible_below=None, maximize=False):
     def build_lows(xstar):
         sense = "maximize" if maximize else "minimize"
         m = ModelInstance("toy-low", sense)
-        dist = abs(xstar - 3.0)
+        dist = abs(xstar - target)
         u = m.add_variable("u", Kind.CONTINUOUS, dist, 100.0)
         m.add_objective_term(u, -1.0 if maximize else 1.0)
         if maximize:
@@ -105,8 +105,9 @@ def test_maximize_low_level_negated():
     assert res.objective == pytest.approx(4.0, abs=1e-7)
 
 
-def test_tune_budget_one():
-    trace = tune(toy_problem(), DfoConfig(budget=1, seed=0), initial_rho=[5.0])
+@pytest.mark.parametrize("algorithm", ["pattern", "pso", "random"])
+def test_tune_budget_one(algorithm):
+    trace = tune(toy_problem(), DfoConfig(algorithm, budget=1, seed=0), initial_rho=[5.0])
     assert len(trace.results) == 1
     assert trace.best.rho == (5.0,)
     assert trace.best_so_far() == [trace.results[0].objective]
@@ -121,6 +122,25 @@ def test_tune_finds_toy_optimum_and_caches():
     best = trace.best_so_far()
     assert best == sorted(best, reverse=True)
     assert [r.index for r in trace.results] == list(range(len(trace.results)))
+
+
+def test_tune_stops_when_the_swarm_collapses_on_a_corner():
+    # the score falls toward rho's upper bound, so the swarm piles onto 10.0
+    # and soon requests only cached points, which spend no budget
+    cfg = DfoConfig(algorithm="pso", budget=200, seed=1, swarm_size=4)
+    outcome = {}
+
+    def run():
+        outcome["trace"] = tune(toy_problem(target=10.0), cfg, initial_rho=[5.0])
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    trace = outcome["trace"]
+    rhos = [r.rho for r in trace.results]
+    assert len(set(rhos)) == len(rhos) < cfg.budget
+    assert trace.best.rho == (10.0,)
 
 
 def test_sentinel_dominance():

@@ -182,8 +182,9 @@ def test_linexpr_merges_and_drops_zeros(a, b):
 
 def test_solve_options_validation():
     SolveOptions()
-    with pytest.raises(ModelError):
-        SolveOptions(time_limit=0)
+    for bad in (0, float("nan"), float("inf")):
+        with pytest.raises(ModelError):
+            SolveOptions(time_limit=bad)
     with pytest.raises(ModelError):
         SolveOptions(mip_gap=1.0)
 
