@@ -14,7 +14,7 @@ from .engine import (
     transfer_tune,
     tune,
 )
-from .milp import SolveReport, brute_force_milp, solve_lp, solve_milp, solve_model
+from .milp import SolveReport, brute_force_milp, solve_milp, solve_model
 from .model import (
     Kind,
     LinExpr,

@@ -69,8 +69,42 @@ _DEFAULTS = {
 }
 
 
+#: Numeric settings read as integers; the others are read as floats.  Every
+#: numeric value must be finite.
+_INTEGER_SETTINGS = frozenset(
+    ("budget", "seed", "threads", "breakpoints", "tasks", "vessels", "weeks", "days",
+     "hours_per_day", "max_duration")
+)
+
+#: Closed ranges for the ``gen`` settings that nothing checks before the
+#: instance file is written; the loader would reject the file.
+_RANGES = {
+    "days": (1, math.inf),
+    "hours_per_day": (1, 24),
+    "demand_scale": (0, math.inf),
+    "max_duration": (1, math.inf),
+}
+
+
 class CliError(ValueError):
     pass
+
+
+def _number(key: str, raw):
+    """``raw`` read as setting ``key``: converted, finite and in range, else CliError."""
+    kind = int if key in _INTEGER_SETTINGS else float
+    low, high = _RANGES.get(key, (-math.inf, math.inf))
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
+    if not (math.isfinite(value) and low <= value <= high):
+        raise CliError(f"{key}: must be finite and lie in [{low}, {high}], got {raw!r}")
+    return value
+
+
+def _get(cfg: dict, key: str):
+    return _number(key, cfg[key])
 
 
 def _config_hash(cfg: dict) -> str:
@@ -116,18 +150,12 @@ def _error_record(cfg: dict, mode: str, kind: str, message: str) -> None:
     print(f"error ({kind}): {message}", file=sys.stderr)
 
 def _options(cfg: dict, gap_key: str = "mip_gap") -> SolveOptions:
-    return SolveOptions(
-        time_limit=float(cfg["time_limit"]),
-        mip_gap=float(cfg[gap_key]),
-    )
+    return SolveOptions(time_limit=_get(cfg, "time_limit"), mip_gap=_get(cfg, gap_key))
 
 
 def _initial_rho(cfg: dict) -> np.ndarray:
     raw = cfg["initial_rho"]
-    if isinstance(raw, str):
-        parts = [float(x) for x in raw.split(",")]
-    else:
-        parts = [float(x) for x in raw]
+    parts = [_number("initial_rho", x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
     return TunableParameters.from_array(parts).to_array()
 
 
@@ -176,11 +204,11 @@ def _make_problem(cfg: dict, network, scenarios, hours_per_day: int):
         scenarios,
         aggregation=cfg["aggregation"],
         hours_per_day=hours_per_day,
-        n_breakpoints=int(cfg["breakpoints"]),
+        n_breakpoints=_get(cfg, "breakpoints"),
         high_options=_options(cfg),
         low_options=_options(cfg),
         final_low_options=_options(cfg, "final_mip_gap"),
-        sentinel=float(cfg["sentinel"]),
+        sentinel=_get(cfg, "sentinel"),
     )
 
 
@@ -190,20 +218,18 @@ def _make_problem(cfg: dict, network, scenarios, hours_per_day: int):
 
 def _cmd_gen(cfg: dict) -> int:
     out = cfg.get("out") or f"instance-seed{cfg['seed']}.json"
-    seed = int(cfg["seed"])
+    seed, days, scale = _get(cfg, "seed"), _get(cfg, "days"), _get(cfg, "demand_scale")
+    hours_per_day = _get(cfg, "hours_per_day")
     network = generate_network(
         seed,
-        n_tasks=int(cfg["tasks"]),
-        n_vessels=None if cfg["vessels"] is None else int(cfg["vessels"]),
-        max_duration=int(cfg["max_duration"]),
-        demand_scale=float(cfg["demand_scale"]),
+        n_tasks=_get(cfg, "tasks"),
+        n_vessels=None if cfg["vessels"] is None else _get(cfg, "vessels"),
+        max_duration=_get(cfg, "max_duration"),
+        demand_scale=scale,
     )
-    weeks = [
-        generate_demand(seed + 1 + k, network, int(cfg["days"]), float(cfg["demand_scale"]))
-        for k in range(int(cfg["weeks"]))
-    ]
+    weeks = [generate_demand(seed + 1 + k, network, days, scale) for k in range(_get(cfg, "weeks"))]
     Path(out).parent.mkdir(parents=True, exist_ok=True)
-    save_instance(out, network, ScenarioSet.uniform(weeks), int(cfg["hours_per_day"]))
+    save_instance(out, network, ScenarioSet.uniform(weeks), hours_per_day)
     print(f"wrote {out}")
     return 0
 
@@ -211,9 +237,9 @@ def _cmd_gen(cfg: dict) -> int:
 def _cmd_solve_full(cfg: dict) -> int:
     network, scenarios, hpd = _load(cfg)
     if len(scenarios.weeks) == 1:
-        model = build_full_space(network, scenarios.weeks[0], hpd, int(cfg["breakpoints"]))
+        model = build_full_space(network, scenarios.weeks[0], hpd, _get(cfg, "breakpoints"))
     else:
-        model = build_multiweek_full_space(network, scenarios, hpd, int(cfg["breakpoints"]))
+        model = build_multiweek_full_space(network, scenarios, hpd, _get(cfg, "breakpoints"))
     t0 = time.perf_counter()
     report = solve_model(model, _options(cfg))
     wall = time.perf_counter() - t0
@@ -269,9 +295,9 @@ def _cmd_baseline(cfg: dict) -> int:
 def _cmd_tune(cfg: dict) -> int:
     network, scenarios, hpd = _load(cfg)
     problem = _make_problem(cfg, network, scenarios, hpd)
-    config = DfoConfig(algorithm=cfg["dfo"], budget=int(cfg["budget"]), seed=int(cfg["seed"]))
+    config = DfoConfig(algorithm=cfg["dfo"], budget=_get(cfg, "budget"), seed=_get(cfg, "seed"))
     t0 = time.perf_counter()
-    trace = tune(problem, config, initial_rho=_initial_rho(cfg), threads=int(cfg["threads"]))
+    trace = tune(problem, config, initial_rho=_initial_rho(cfg), threads=_get(cfg, "threads"))
     wall = time.perf_counter() - t0
     out = _out_dir(cfg, "tune")
     emit_trace(trace, out / "trace.csv")
@@ -295,11 +321,11 @@ def _cmd_transfer(cfg: dict) -> int:
     trace = transfer_tune(
         problem,
         prior,
-        range_fraction=float(cfg["range_length"]),
-        budget=int(cfg["budget"]),
-        seed=int(cfg["seed"]),
+        range_fraction=_get(cfg, "range_length"),
+        budget=_get(cfg, "budget"),
+        seed=_get(cfg, "seed"),
         algorithm=cfg["dfo"],
-        threads=int(cfg["threads"]),
+        threads=_get(cfg, "threads"),
     )
     wall = time.perf_counter() - t0
     out = _out_dir(cfg, "transfer")
@@ -317,7 +343,7 @@ def _cmd_transfer(cfg: dict) -> int:
 
 
 def _cmd_oracle_check(cfg: dict) -> int:
-    seed = int(cfg["seed"])
+    seed = _get(cfg, "seed")
     checks = []
 
     knap = ModelInstance("knapsack", "maximize")

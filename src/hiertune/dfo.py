@@ -78,8 +78,8 @@ class BoxDomain:
     def shrink_around(self, center: Sequence[float], side_fraction: float) -> "BoxDomain":
         """Intersect with a per-dimension hypercube of side
         ``side_fraction * width`` centered at ``center``."""
-        if side_fraction <= 0:
-            raise DomainError("side fraction must be positive")
+        if not 0 < side_fraction < np.inf:  # a comparison that NaN and inf fail
+            raise DomainError("side fraction must be positive and finite")
         c = self.clip(center)
         half = side_fraction * self.width / 2
         return BoxDomain(

@@ -1,15 +1,14 @@
-"""LP/MILP solving with HiGHS.
+"""MILP solving with HiGHS, and the enumeration oracle that checks it.
 
-``solve_lp`` solves the continuous relaxation through
-``scipy.optimize.linprog`` and ``solve_milp`` the mixed-integer model through
-``scipy.optimize.milp``; both map HiGHS's result onto :class:`SolveReport`,
-objective constant included.  ``brute_force_milp`` is the
-exhaustive-enumeration oracle that verifies them on tiny instances: it solves
-each integer assignment's LP with the native simplex of
-:mod:`hiertune.simplex`, so it shares no code with the solver it checks.
-SciPy is imported on the first HiGHS solve, not with the package: it takes
-longer to load than the rest of ``hiertune``, and commands that never solve
-(``gen``, ``report``) should not pay for it.
+``solve_milp`` solves a model through ``scipy.optimize.milp`` and maps
+HiGHS's result onto :class:`SolveReport`, objective constant included.
+``brute_force_milp`` is the exhaustive-enumeration oracle that verifies it on
+tiny instances: it solves each integer assignment's LP with the dense simplex
+of :mod:`hiertune.simplex`, so it shares no code with the solver it checks.
+On a model without integers it is a plain LP solve.  SciPy is imported on the
+first HiGHS solve, not with the package: it takes longer to load than the
+rest of ``hiertune``, and commands that never solve (``gen``, ``report``)
+should not pay for it.
 
 All solves are deterministic for a fixed (model, options) pair as long as no
 time limit stops them; wall time is the only report field that varies
@@ -38,7 +37,7 @@ from .model import (
 )
 from .simplex import LP_OPTIMAL, LP_UNBOUNDED, solve_lp_csc
 
-__all__ = ["SolveReport", "solve_lp", "solve_milp", "brute_force_milp", "solve_model"]
+__all__ = ["SolveReport", "solve_milp", "brute_force_milp", "solve_model"]
 
 #: Default cap on the integer search space of the enumeration oracle.
 BRUTE_FORCE_CAP = 2**22
@@ -49,8 +48,8 @@ class SolveReport:
     """Outcome of one solve.
 
     ``nodes`` counts branch-and-bound nodes (for the oracle, enumerated
-    assignments); ``lp_iterations`` counts simplex iterations where the solver
-    reports them and is 0 for HiGHS MILP solves, which do not.
+    assignments); ``lp_iterations`` counts the oracle's simplex pivots and is
+    0 for HiGHS, which does not report a MIP's simplex count.
     """
 
     status: Status
@@ -120,49 +119,22 @@ class _Arrays:
             return -self.c, -self.c0
         return self.c, self.c0
 
-    def _matrix(self, row_scale: np.ndarray):
-        """The row matrix (CSR) with row ``i`` multiplied by ``row_scale[i]``."""
-        from scipy.sparse import csc_array
-
-        scaled = self.cval * row_scale[self.crow]
-        return csc_array((scaled, self.crow, self.cptr), shape=(self.m, self.n)).tocsr()
-
     def linear_constraint(self, extra_columns: int = 0):
         """All rows as one two-sided ``LinearConstraint`` for ``milp``, or None.
 
         ``extra_columns`` empty columns are appended after the model's own.
         """
         from scipy.optimize import LinearConstraint
-        from scipy.sparse import csr_array, hstack
+        from scipy.sparse import csc_array, csr_array, hstack
 
         if self.m == 0:
             return None
         lo = np.where(self.senses >= 0, self.b, -np.inf)
         up = np.where(self.senses <= 0, self.b, np.inf)
-        A = self._matrix(np.ones(self.m))
+        A = csc_array((self.cval, self.crow, self.cptr), shape=(self.m, self.n)).tocsr()
         if extra_columns:
             A = hstack([A, csr_array((self.m, extra_columns))], format="csr")
         return LinearConstraint(A, lo, up)
-
-    def split_rows(self):
-        """``(A_ub, b_ub, A_eq, b_eq)`` for ``linprog``; ``>=`` rows are negated."""
-        sign = np.where(self.senses > 0, -1.0, 1.0)
-        A = self._matrix(sign)
-        b = sign * self.b
-        ineq = np.flatnonzero(self.senses != 0)
-        eq = np.flatnonzero(self.senses == 0)
-        A_ub, b_ub = (A[ineq], b[ineq]) if len(ineq) else (None, None)
-        A_eq, b_eq = (A[eq], b[eq]) if len(eq) else (None, None)
-        return A_ub, b_ub, A_eq, b_eq
-
-
-def _lp(arr: _Arrays, c: np.ndarray, lower: np.ndarray, upper: np.ndarray):
-    code, x, y, iters = solve_lp_csc(
-        arr.cptr, arr.crow, arr.cval, arr.m, arr.senses, arr.b, c, lower, upper
-    )
-    if code == LP_OPTIMAL:
-        x = np.clip(x, lower, upper)
-    return code, x, y, iters
 
 
 def _gap(objective: float, bound: float) -> float:
@@ -180,8 +152,8 @@ def _solution(arr: _Arrays, x: np.ndarray, obj_min: float, status: Status) -> So
     return Solution(values, obj, status)
 
 
-def _no_solution(arr: _Arrays, status: Status, nodes: int, iters: int, wall: float,
-                 bound_min: float = -math.inf) -> SolveReport:
+def _no_solution(arr: _Arrays, status: Status, nodes: int, wall: float,
+                 bound_min: float) -> SolveReport:
     """Report without an incumbent; ``bound_min`` is in minimize orientation."""
     if status is Status.INFEASIBLE:
         bound_min = math.inf
@@ -190,42 +162,7 @@ def _no_solution(arr: _Arrays, status: Status, nodes: int, iters: int, wall: flo
     elif status is Status.NUMERICAL_FAILURE:
         bound_min = math.nan
     ext = -1.0 if arr.maximize else 1.0
-    return SolveReport(status, None, ext * bound_min, math.inf, nodes, iters, wall)
-
-
-#: ``scipy.optimize.linprog`` status codes; 4 and anything else is a numerical failure.
-_LP_STATUS = {0: Status.OPTIMAL, 1: Status.NO_INCUMBENT, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED}
-
-
-def solve_lp(model: ModelInstance, options: SolveOptions | None = None) -> SolveReport:
-    """Solve the continuous relaxation (integrality dropped) with HiGHS."""
-    from scipy.optimize import linprog
-
-    options = options or SolveOptions()
-    arr = _Arrays(model)
-    c, c0 = arr.csigned()
-    A_ub, b_ub, A_eq, b_eq = arr.split_rows()
-    t0 = time.perf_counter()
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([arr.lower, arr.upper]),
-        method="highs",
-        options={"time_limit": options.time_limit},
-    )
-    wall = time.perf_counter() - t0
-    status = _LP_STATUS.get(res.status, Status.NUMERICAL_FAILURE)
-    iters = int(res.nit)
-    if status is not Status.OPTIMAL:
-        return _no_solution(arr, status, 0, iters, wall)
-    x = np.clip(res.x, arr.lower, arr.upper)
-    sol = _solution(arr, x, float(res.fun) + c0, Status.OPTIMAL)
-    # integers relaxed: report plain values, no rounding
-    sol.values = {vid: float(x[vid]) for vid in range(arr.n)}
-    return SolveReport(Status.OPTIMAL, sol, sol.objective, 0.0, 0, iters, wall)
+    return SolveReport(status, None, ext * bound_min, math.inf, nodes, 0, wall)
 
 
 def _milp_status(res, options: SolveOptions) -> Status:
@@ -284,7 +221,7 @@ def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> Sol
         dual = res.fun  # a model without integers reports no MIP bound
     bound_min = -math.inf if dual is None else float(dual)
     if status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
-        return _no_solution(arr, status, nodes, 0, wall, bound_min)
+        return _no_solution(arr, status, nodes, wall, bound_min)
 
     x = np.clip(res.x[: arr.n], arr.lower, arr.upper)
     obj_min = float(res.fun)
@@ -294,17 +231,12 @@ def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> Sol
     return SolveReport(status, sol, ext * bound_min, _gap(obj_min, bound_min), nodes, 0, wall)
 
 
-def brute_force_milp(
-    model: ModelInstance,
-    options: SolveOptions | None = None,
-    cap: int = BRUTE_FORCE_CAP,
-) -> SolveReport:
+def brute_force_milp(model: ModelInstance, cap: int = BRUTE_FORCE_CAP) -> SolveReport:
     """Enumerate every integer assignment, solving the continuous LP for each.
 
     Verification oracle: exact but exponential; refuses search spaces larger
     than ``cap``.
     """
-    options = options or SolveOptions()
     arr = _Arrays(model)
     c, c0 = arr.csigned()
     int_ids = [int(v) for v in arr.int_ids]
@@ -333,17 +265,20 @@ def brute_force_milp(
         for k, vid in enumerate(int_ids):
             val = bases[k] + combo[k]
             lo[vid] = up[vid] = val
-        code, x, _, iters = _lp(arr, c, lo, up)
+        code, x, _, iters = solve_lp_csc(
+            arr.cptr, arr.crow, arr.cval, arr.m, arr.senses, arr.b, c, lo, up
+        )
         lp_iters += iters
         if code == LP_UNBOUNDED:
             unbounded = True
             break
         if code != LP_OPTIMAL:
             continue
+        x = np.clip(x, lo, up)
         obj = float(c @ x) + c0
         if obj < best_obj - 1e-12:
             best_obj = obj
-            best_x = x.copy()
+            best_x = x
     wall = time.perf_counter() - t0
 
     ext = -1.0 if arr.maximize else 1.0

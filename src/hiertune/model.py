@@ -233,9 +233,6 @@ class ModelInstance:
         except KeyError:
             raise ModelError(f"unknown variable name {name!r}") from None
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._by_name
-
     def constraint(self, label: str) -> Constraint:
         try:
             return self._cons[self._by_label[label]]
@@ -478,65 +475,3 @@ class ModelInstance:
         if con.sense == GE:
             return con.rhs - lhs
         return abs(lhs - con.rhs)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_text(self) -> str:
-        """Deterministic human-readable dump; round-trips via :meth:`from_text`."""
-        lines = [f"model {self.name} {self.sense.value} sealed={int(self._sealed)}"]
-        for v in self._vars:
-            lines.append(f"var {v.name} {v.kind.value} {v.lower!r} {v.upper!r}")
-        obj = [f"{self.objective.constant!r}"]
-        for vid in sorted(self.objective.terms):
-            obj.append(f"{self.objective.terms[vid]!r} {self._vars[vid].name}")
-        lines.append("obj " + " ".join(obj))
-        for term in self._pwl:
-            bps = " ".join(repr(b) for b in term.breakpoints)
-            vals = " ".join(repr(x) for x in term.values)
-            lines.append(
-                f"pwl {self._vars[term.variable].name} {term.prefactor!r} : {bps} : {vals}"
-            )
-        for con in self._cons:
-            body = " ".join(
-                f"{con.expr.terms[vid]!r} {self._vars[vid].name}"
-                for vid in sorted(con.expr.terms)
-            )
-            lines.append(f"con {con.label} : {body} {con.sense} {con.rhs!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "ModelInstance":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
-        if head[0] != "model" or len(head) != 4:
-            raise ModelError(f"bad model header {lines[0]!r}")
-        model = cls(head[1], Sense(head[2]))
-        sealed = head[3] == "sealed=1"
-        for ln in lines[1:]:
-            tok = ln.split()
-            if tok[0] == "var":
-                model.add_variable(tok[1], Kind(tok[2]), float(tok[3]), float(tok[4]))
-            elif tok[0] == "obj":
-                model.objective = LinExpr(constant=float(tok[1]))
-                for i in range(2, len(tok), 2):
-                    model.objective.add_term(model.variable_id(tok[i + 1]), float(tok[i]))
-            elif tok[0] == "pwl":
-                split1 = tok.index(":")
-                split2 = tok.index(":", split1 + 1)
-                bps = tuple(float(x) for x in tok[split1 + 1 : split2])
-                vals = tuple(float(x) for x in tok[split2 + 1 :])
-                model._pwl.append(
-                    PiecewiseCostTerm(model.variable_id(tok[1]), bps, vals, float(tok[2]))
-                )
-            elif tok[0] == "con":
-                label = tok[1]
-                body = tok[3:-2]
-                expr = LinExpr()
-                for i in range(0, len(body), 2):
-                    expr.add_term(model.variable_id(body[i + 1]), float(body[i]))
-                model.add_constraint(expr, tok[-2], float(tok[-1]), label)
-            else:
-                raise ModelError(f"bad line {ln!r}")
-        if sealed:
-            model.seal()
-        return model

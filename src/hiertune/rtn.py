@@ -51,8 +51,6 @@ __all__ = [
     "aggregate_demand_approach1",
     "concat_demand_approach2",
     "extract_design",
-    "random_feasible_schedule",
-    "aggregate_schedule",
     "make_two_level_problem",
     "AGGREGATIONS",
 ]
@@ -123,11 +121,6 @@ class RtnNetwork:
 
     def feeds(self) -> tuple[Material, ...]:
         return tuple(m for m in self.materials if m.mclass == FEED)
-
-    def tasks_on_material(self, material: str) -> tuple[Task, ...]:
-        return tuple(
-            t for t in self.tasks if any(k[0] == t.name and k[1] == material for k in self.nu)
-        )
 
     def task_materials(self, task: str) -> tuple[str, ...]:
         seen = []
@@ -840,134 +833,6 @@ def _least_value(vid: int, rows, values: Mapping[int, float]) -> float:
     return need
 
 
-# ---------------------------------------------------------------------------
-# randomized feasible schedules (test oracle for the aggregation mapping)
-
-
-def random_feasible_schedule(
-    network: RtnNetwork,
-    demand: DemandProfile,
-    design: RtnDesign,
-    rng: np.random.Generator,
-    hours_per_day: int = 24,
-    start_probability: float = 0.5,
-) -> dict[str, float]:
-    """Simulate a feasible, day-contained schedule; returns values by name.
-
-    Tasks only start when they finish within the same day, inputs are checked
-    against inventory (feeds are bought on the spot), production is shipped
-    against the day's remaining demand and the rest stored if it fits.
-    Feasibility of the result against :func:`build_full_space` is exact.
-    """
-    hpd = hours_per_day
-    H = demand.days * hpd
-    vals: dict[str, float] = {}
-    for v in network.vessels:
-        vals[f"Vmax[{v.name}]"] = design.vessel_size.get(v.name, 0.0)
-    for m in network.materials:
-        vals[f"Xmax[{m.name}]"] = design.storage_size.get(m.name, 0.0)
-    for task in network.tasks:
-        for t in range(1, H + 1):
-            vals[f"N[{task.name},{t}]"] = 0.0
-            vals[f"E[{task.name},{t}]"] = 0.0
-    for m in network.materials:
-        if m.mclass in (FEED, PRODUCT):
-            for t in range(1, H + 1):
-                vals[f"pi[{m.name},{t}]"] = 0.0
-
-    inv = {m.name: 0.0 for m in network.materials}
-    reserved = {m.name: 0.0 for m in network.materials}  # in-flight production
-    busy_until = {v.name: 0 for v in network.vessels}
-    shipped = {(m.name, n): 0.0 for m in network.products() for n in range(1, demand.days + 1)}
-    # pending[(material, hour)] -> production arriving at that hour
-    pending: dict[tuple[str, int], float] = {}
-
-    def task_flows(task: Task) -> tuple[list[tuple[str, int, float]], list[tuple[str, int, float]]]:
-        ins, outs = [], []
-        for (ti, r, theta), coef in network.nu.items():
-            if ti != task.name or coef == 0.0:
-                continue
-            (ins if coef < 0 else outs).append((r, theta, coef))
-        return ins, outs
-
-    for t in range(1, H + 1):
-        day = (t - 1) // hpd + 1
-        # arrivals scheduled for this hour
-        for (mname, tt), qty in list(pending.items()):
-            if tt != t:
-                continue
-            del pending[mname, tt]
-            reserved[mname] -= qty
-            mat = network.material_by_name[mname]
-            if mat.mclass == PRODUCT:
-                room = demand.demand(mname, day) - shipped[mname, day]
-                ship = min(qty, room)
-                if ship > 0:
-                    vals[f"pi[{mname},{t}]"] -= ship
-                    shipped[mname, day] += ship
-                    qty -= ship
-            inv[mname] += qty
-
-        for task in network.tasks:
-            v = network.vessel_by_name[task.vessel]
-            if busy_until[v.name] >= t:
-                continue
-            day_end = day * hpd
-            if t + task.duration > day_end:
-                continue  # keep every start inside its day
-            if rng.random() > start_probability:
-                continue
-            vmax = design.vessel_size.get(v.name, 0.0)
-            if vmax <= 0:
-                continue
-            lo_batch = task.min_batch_fraction * vmax
-            batch = float(rng.uniform(lo_batch, vmax))
-            if batch <= 0:
-                continue
-            ins, outs = task_flows(task)
-            # inputs must be on hand at the start hour (feeds bought spot)
-            ok = True
-            for r, theta, coef in ins:
-                need = -coef * batch
-                mat = network.material_by_name[r]
-                have = inv[r] if mat.mclass != FEED else math.inf
-                if theta != 0 or (have < need - 1e-12):
-                    ok = False
-                    break
-            if ok:
-                # reserve storage room for the production when it lands;
-                # arrivals at the start hour itself are not modeled here
-                for r, theta, coef in outs:
-                    room = vals[f"Xmax[{r}]"] - inv[r] - reserved[r]
-                    if theta == 0 or coef * batch > room + 1e-12:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            for r, theta, coef in ins:
-                need = -coef * batch
-                if network.material_by_name[r].mclass == FEED:
-                    vals[f"pi[{r},{t}]"] += need
-                else:
-                    inv[r] -= need
-            for r, theta, coef in outs:
-                pending[r, t + theta] = pending.get((r, t + theta), 0.0) + coef * batch
-                reserved[r] += coef * batch
-            vals[f"N[{task.name},{t}]"] = 1.0
-            vals[f"E[{task.name},{t}]"] = batch
-            busy_until[v.name] = t + task.duration - 1
-
-        for m in network.materials:
-            vals[f"X[{m.name},{t}]"] = inv[m.name]
-        for v in network.vessels:
-            vals[f"X[{v.name},{t}]"] = 0.0 if busy_until[v.name] >= t else 1.0
-
-    for m in network.products():
-        for n in range(1, demand.days + 1):
-            vals[f"sl[{m.name},{n}]"] = demand.demand(m.name, n) - shipped[m.name, n]
-    return vals
-
-
 def make_two_level_problem(
     network: RtnNetwork,
     scenarios: ScenarioSet,
@@ -1029,36 +894,3 @@ def make_two_level_problem(
 
 
 AGGREGATIONS = ("single", "approach1", "approach2")
-
-
-def aggregate_schedule(
-    network: RtnNetwork,
-    demand: DemandProfile,
-    values_by_name: Mapping[str, float],
-    hours_per_day: int = 24,
-) -> dict[str, float]:
-    """Sum an hourly schedule into the daily high-level variables."""
-    hpd = hours_per_day
-    out: dict[str, float] = {}
-    for v in network.vessels:
-        out[f"Vmax[{v.name}]"] = values_by_name[f"Vmax[{v.name}]"]
-    for m in network.materials:
-        out[f"Xmax[{m.name}]"] = values_by_name[f"Xmax[{m.name}]"]
-    for n in range(1, demand.days + 1):
-        hours = range((n - 1) * hpd + 1, n * hpd + 1)
-        for task in network.tasks:
-            out[f"Nagg[{task.name},{n}]"] = sum(
-                values_by_name[f"N[{task.name},{t}]"] for t in hours
-            )
-            out[f"Eagg[{task.name},{n}]"] = sum(
-                values_by_name[f"E[{task.name},{t}]"] for t in hours
-            )
-        for m in network.materials:
-            if m.mclass in (FEED, PRODUCT):
-                out[f"piagg[{m.name},{n}]"] = sum(
-                    values_by_name[f"pi[{m.name},{t}]"] for t in hours
-                )
-            out[f"Xagg[{m.name},{n}]"] = values_by_name[f"X[{m.name},{n * hpd}]"]
-        for m in network.products():
-            out[f"sl[{m.name},{n}]"] = values_by_name[f"sl[{m.name},{n}]"]
-    return out

@@ -193,6 +193,51 @@ def test_bad_numeric_flag_exits_2(tmp_path, instance, flag, value):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+def test_transfer_bad_range_length_exits_2(tmp_path, instance, value):
+    prior = tmp_path / "prior.json"
+    prior.write_text(json.dumps({"best_rho": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]}))
+    out = tmp_path / "t"
+    code = run(
+        ["transfer", "--instance", instance, "--aggregation", "approach1", "--from", prior,
+         "--budget", 2, "--range-length", value, "--out", out] + FAST
+    )
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "config"
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--demand-scale", "nan"), ("--demand-scale", "inf"), ("--hours-per-day", "0"),
+     ("--days", "0")],
+)
+def test_gen_bad_value_exits_2_and_writes_no_instance(tmp_path, flag, value):
+    out = tmp_path / "inst.json"
+    assert run(["gen", "--seed", 1, "--out", out, flag, value]) == 2
+    assert not out.is_file()
+
+
+@pytest.mark.parametrize(
+    "config, flags",
+    [(None, ["--initial-rho", "a,b"]), ({"budget": "x"}, []), ({"time_limit": None}, [])],
+    ids=["initial-rho", "config-budget", "config-time-limit"],
+)
+def test_malformed_value_exits_2(tmp_path, instance, config, flags):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        flags = flags + ["--config", path]
+    out = tmp_path / "t"
+    code = run(
+        ["tune", "--instance", instance, "--aggregation", "approach1", "--breakpoints", 2,
+         "--mip-gap", "0.01", "--threads", 1, "--out", out] + flags
+    )
+    assert code == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "config"
+    assert not (out / "summary.json").exists()
+
+
 def test_summary_counts_design_cache_hits(tmp_path, instance):
     out = tmp_path / "t"
     assert run(

@@ -35,6 +35,9 @@ def test_shrink_around_clips_at_corners():
     sub = box.shrink_around([0.0, 15.0], 0.1)
     assert sub.lower == (0.0, 13.5)
     assert sub.upper == pytest.approx((0.5, 16.5))
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            box.shrink_around([0.0, 15.0], bad)
 
 
 def test_config_validation():

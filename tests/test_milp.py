@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from hiertune.milp import _milp_status, brute_force_milp, solve_lp, solve_milp, solve_model
+from hiertune.milp import _milp_status, brute_force_milp, solve_milp, solve_model
 from hiertune.model import (
     EQ,
     GE,
@@ -16,6 +16,7 @@ from hiertune.model import (
     SolveOptions,
     Status,
 )
+from hiertune.simplex import LP_INFEASIBLE, LP_OPTIMAL, LP_UNBOUNDED, solve_lp_csc
 
 
 def random_tiny_milp(rng, n_bin=None, n_cont=None, n_rows=None, maximize=None):
@@ -47,7 +48,7 @@ def test_lp_examples():
     x = m.add_variable("x", Kind.CONTINUOUS, 0, 10)
     m.add_objective_term(x, 1.0)
     m.add_constraint({x: 1.0}, GE, 3.0, "r")
-    rep = solve_lp(m.seal())
+    rep = brute_force_milp(m.seal())
     assert rep.status is Status.OPTIMAL
     assert rep.incumbent.objective == pytest.approx(3.0, abs=1e-9)
 
@@ -57,13 +58,13 @@ def test_lp_examples():
     m.add_objective_term(x, 1.0)
     m.add_objective_term(y, 1.0)
     m.add_constraint({x: 1.0, y: 1.0}, LE, 1.0, "cap")
-    rep = solve_lp(m.seal())
+    rep = brute_force_milp(m.seal())
     assert rep.incumbent.objective == pytest.approx(1.0, abs=1e-9)
 
     m = ModelInstance()
     x = m.add_variable("x", Kind.CONTINUOUS, 0, 10)
     m.add_constraint({x: 1.0}, LE, -1.0, "neg")
-    rep = solve_lp(m.seal())
+    rep = brute_force_milp(m.seal())
     assert rep.status is Status.INFEASIBLE
     assert rep.incumbent is None
 
@@ -72,7 +73,7 @@ def test_lp_unbounded():
     m = ModelInstance()
     x = m.add_variable("x", Kind.CONTINUOUS, 0, math.inf)
     m.add_objective_term(x, -1.0)
-    rep = solve_lp(m.seal())
+    rep = brute_force_milp(m.seal())
     assert rep.status is Status.UNBOUNDED
 
 
@@ -110,7 +111,7 @@ def test_brute_force_no_integers_matches_lp():
     m.add_constraint({x: 2.0}, LE, 5.0, "r")
     m.seal()
     assert brute_force_milp(m).incumbent.objective == pytest.approx(
-        solve_lp(m).incumbent.objective
+        solve_milp(m).incumbent.objective
     )
 
 
@@ -159,7 +160,7 @@ def test_bound_validity_randomized():
 
 def test_lp_certificate_randomized():
     # primal feasibility, dual feasibility and strong duality on random feasible LPs:
-    # the objective solve_lp reports equals the dual objective of linprog's marginals
+    # the objective of brute_force_milp's LP equals the dual objective of linprog's marginals
     rng = np.random.default_rng(3)
     checked = 0
     for _ in range(40):
@@ -180,7 +181,7 @@ def test_lp_certificate_randomized():
                 A_ub.append([sign * expr.get(vid, 0.0) for vid in ids])
                 b_ub.append(sign * rhs)
         m.seal()
-        rep = solve_lp(m)
+        rep = brute_force_milp(m)
         if rep.status is not Status.OPTIMAL:
             continue
         checked += 1
@@ -201,6 +202,69 @@ def test_lp_certificate_randomized():
         dual_objective = float(np.dot(b_ub, y) + np.dot(upper, up))
         assert rep.incumbent.objective == pytest.approx(dual_objective, abs=1e-7)
     assert checked >= 10
+
+
+def _random_bounded_lp(rng):
+    """Dense LP with lower-only, upper-only, free, fixed and ranged columns.
+
+    Half the draws take ``b`` from a point inside the bounds, so that many are
+    feasible and optimal.
+    """
+    n, m = int(rng.integers(1, 9)), int(rng.integers(0, 9))
+    A = np.round(rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.6), 2)
+    lower = np.round(rng.uniform(-3, 1, n), 1)
+    upper = lower + np.round(rng.uniform(0.1, 4, n), 1)
+    kind = rng.integers(0, 5, n)
+    upper[kind == 0] = np.inf
+    lower[kind == 1] = -np.inf
+    lower[kind == 2], upper[kind == 2] = -np.inf, np.inf
+    upper[kind == 3] = lower[kind == 3]
+    senses = rng.integers(-1, 2, m)
+    if rng.random() < 0.5:
+        ax = A @ np.round(np.clip(rng.uniform(-2, 2, n), lower, upper), 1)
+        b = np.round(ax - senses * rng.uniform(0, 1, m), 6)
+    else:
+        b = np.round(rng.normal(size=m) * 2, 1)
+    return A, senses, b, np.round(rng.normal(size=n), 2), lower, upper
+
+
+def test_lp_kernel_matches_highs_and_certifies_optimum():
+    rng = np.random.default_rng(17)
+    tol = 1e-7
+    seen = {LP_OPTIMAL: 0, LP_INFEASIBLE: 0, LP_UNBOUNDED: 0}
+    for _ in range(150):
+        A, senses, b, c, lower, upper = _random_bounded_lp(rng)
+        m, n = A.shape
+        cptr = np.concatenate([[0], np.cumsum((A != 0).sum(axis=0))])
+        cols, rows = np.nonzero(A.T)
+        status, x, y, _ = solve_lp_csc(cptr, rows, A[rows, cols], m, senses, b, c, lower, upper)
+        flip = np.where(senses > 0, -1.0, 1.0)
+        ineq, eq = senses != 0, senses == 0
+        ref = linprog(
+            c,
+            A_ub=(flip[:, None] * A)[ineq] if ineq.any() else None,
+            b_ub=(flip * b)[ineq] if ineq.any() else None,
+            A_eq=A[eq] if eq.any() else None,
+            b_eq=b[eq] if eq.any() else None,
+            bounds=np.column_stack([lower, upper]),
+            method="highs",
+        )
+        assert status == {0: LP_OPTIMAL, 2: LP_INFEASIBLE, 3: LP_UNBOUNDED}[ref.status]
+        seen[status] += 1
+        if status != LP_OPTIMAL:
+            continue
+        assert c @ x == pytest.approx(ref.fun, abs=1e-6)
+        # (x, y) is an optimality certificate
+        ax = A @ x
+        assert np.all(lower - tol <= x) and np.all(x <= upper + tol)
+        assert np.all(flip[ineq] * (ax - b)[ineq] <= tol)
+        assert np.all(np.abs(ax - b)[eq] <= tol)
+        assert np.all(flip[ineq] * y[ineq] <= tol)
+        assert np.all(np.abs(y * (ax - b)) <= tol)
+        d = c - A.T @ y
+        assert np.all((d >= -tol) | (x >= upper - tol))
+        assert np.all((d <= tol) | (x <= lower + tol))
+    assert min(seen.values()) >= 10, seen
 
 
 def test_determinism():
