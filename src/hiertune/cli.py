@@ -1,17 +1,27 @@
 """Command-line driver: generate instances, run experiments, emit reports.
 
-Subcommands: ``gen``, ``solve-full``, ``baseline``, ``tune``, ``transfer``,
-``oracle-check``, ``report``.  Every run takes its settings from defaults, an
-optional ``--config`` JSON file, and explicit flags (in that precedence),
-and embeds the hash of the effective config plus all seeds into each
-artifact.  Exit codes: 0 success, 2 config error, 3 solve failure, 4 oracle
+Each subcommand takes only the settings it reads; all take ``--config`` and
+``--out``, and all but ``report`` take ``--seed``:
+
+* ``gen``: ``--tasks --vessels --weeks --days --hours-per-day --demand-scale
+  --max-duration``; ``--out`` names the instance file.
+* ``solve-full``: ``--instance --time-limit --mip-gap --breakpoints``.
+* ``baseline``: those of ``solve-full``, ``--aggregation --initial-rho``.
+* ``tune``: those of ``baseline``, ``--final-mip-gap --threads --dfo --budget``.
+* ``transfer``: those of ``tune`` but ``--initial-rho``, ``--from --range-length``.
+* ``oracle-check``: ``--time-limit --mip-gap``.
+* ``report``: run-summary paths; ``--out`` names the CSV file.
+
+Settings come from defaults, an optional ``--config`` JSON file, and flags
+(in that precedence); one config file may hold the settings of several
+subcommands.  Each artifact embeds the hash of the effective config plus all
+seeds.  Exit codes: 0 success, 2 config error, 3 solve failure, 4 oracle
 mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -55,7 +65,6 @@ _DEFAULTS = {
     "mip_gap": 1e-4,
     "final_mip_gap": 1e-6,
     "breakpoints": 8,
-    "sentinel": 1e10,
     "initial_rho": "1,0,0,0,0,0",
     "range_length": 0.1,
     # gen defaults
@@ -69,16 +78,20 @@ _DEFAULTS = {
 }
 
 
-#: Numeric settings read as integers; the others are read as floats.  Every
-#: numeric value must be finite.
-_INTEGER_SETTINGS = frozenset(
-    ("budget", "seed", "threads", "breakpoints", "tasks", "vessels", "weeks", "days",
-     "hours_per_day", "max_duration")
-)
+#: The type of each numeric setting.  Every numeric value must be finite; one
+#: whose default is None may also be null.
+_NUMERIC = {
+    **dict.fromkeys(("budget", "seed", "threads", "breakpoints", "tasks", "vessels", "weeks",
+                     "days", "hours_per_day", "max_duration"), int),
+    **dict.fromkeys(("time_limit", "mip_gap", "final_mip_gap", "range_length", "demand_scale"),
+                    float),
+}
 
-#: Closed ranges for the ``gen`` settings that nothing checks before the
-#: instance file is written; the loader would reject the file.
+#: Closed ranges for settings that nothing else rejects with a message: the
+#: ``gen`` settings the loader would reject in the written file, and the seed,
+#: which numpy's generators take only non-negative.
 _RANGES = {
+    "seed": (0, math.inf),
     "days": (1, math.inf),
     "hours_per_day": (1, 24),
     "demand_scale": (0, math.inf),
@@ -91,10 +104,15 @@ class CliError(ValueError):
 
 
 def _number(key: str, raw):
-    """``raw`` read as setting ``key``: converted, finite and in range, else CliError."""
-    kind = int if key in _INTEGER_SETTINGS else float
+    """``raw`` read as setting ``key``: converted, finite and in range, else CliError.
+
+    A bool is not a number, and an integer setting takes no fractional value.
+    """
+    kind = _NUMERIC.get(key, float)
     low, high = _RANGES.get(key, (-math.inf, math.inf))
     try:
+        if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
+            raise TypeError
         value = kind(raw)
     except (TypeError, ValueError, OverflowError):
         raise CliError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
@@ -103,30 +121,28 @@ def _number(key: str, raw):
     return value
 
 
-def _get(cfg: dict, key: str):
-    return _number(key, cfg[key])
-
-
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
-    path = getattr(args, "config", None)
-    if path:
+    """The subcommand's settings: each flag it declares, read from the flag,
+    else from the ``--config`` file, else from the defaults; numbers converted."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("config", "func")}
+    cfg = {key: _DEFAULTS.get(key) for key in flags}
+    if args.config:
         try:
-            loaded = json.loads(Path(path).read_text())
+            loaded = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {path}: {exc}") from None
-        unknown = set(loaded) - set(cfg) - {"instance", "mode", "out", "source"}
+            raise CliError(f"cannot read config {args.config}: {exc}") from None
+        unknown = set(loaded) - set(_DEFAULTS) - {"instance", "mode", "out", "source"}
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key, value in vars(args).items():
-        if key in ("config", "func") or value is None:
-            continue
-        cfg[key] = value
+        cfg.update((key, value) for key, value in loaded.items() if key in flags)
+    cfg.update((key, value) for key, value in flags.items() if value is not None)
+    for key in cfg.keys() & _NUMERIC.keys():
+        if cfg[key] is not None or _DEFAULTS[key] is not None:
+            cfg[key] = _number(key, cfg[key])
     return cfg
 
 
@@ -143,14 +159,20 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _error_record(cfg: dict, mode: str, kind: str, message: str) -> None:
     try:
-        out = _out_dir(cfg, mode)
+        if mode in ("gen", "report"):
+            # --out names a file: the record goes beside it, else into the
+            # working directory
+            out = Path(cfg["out"]).parent if cfg.get("out") else Path()
+            out.mkdir(parents=True, exist_ok=True)
+        else:
+            out = _out_dir(cfg, mode)
         _write_json(out / "error.json", {"error": kind, "message": message, "mode": mode})
     except OSError:
         pass
     print(f"error ({kind}): {message}", file=sys.stderr)
 
 def _options(cfg: dict, gap_key: str = "mip_gap") -> SolveOptions:
-    return SolveOptions(time_limit=_get(cfg, "time_limit"), mip_gap=_get(cfg, gap_key))
+    return SolveOptions(time_limit=cfg["time_limit"], mip_gap=cfg[gap_key])
 
 
 def _initial_rho(cfg: dict) -> np.ndarray:
@@ -193,22 +215,20 @@ def _summary_payload(cfg: dict, mode: str, trace, wall: float) -> dict:
             "mip_gap": cfg["mip_gap"],
             "final_mip_gap": cfg["final_mip_gap"],
             "breakpoints": cfg["breakpoints"],
-            "sentinel": cfg["sentinel"],
         },
     }
 
 
-def _make_problem(cfg: dict, network, scenarios, hours_per_day: int):
+def _make_problem(cfg: dict, network, scenarios, hours_per_day: int, final_low_options=None):
     return make_two_level_problem(
         network,
         scenarios,
         aggregation=cfg["aggregation"],
         hours_per_day=hours_per_day,
-        n_breakpoints=_get(cfg, "breakpoints"),
+        n_breakpoints=cfg["breakpoints"],
         high_options=_options(cfg),
         low_options=_options(cfg),
-        final_low_options=_options(cfg, "final_mip_gap"),
-        sentinel=_get(cfg, "sentinel"),
+        final_low_options=final_low_options,
     )
 
 
@@ -218,28 +238,24 @@ def _make_problem(cfg: dict, network, scenarios, hours_per_day: int):
 
 def _cmd_gen(cfg: dict) -> int:
     out = cfg.get("out") or f"instance-seed{cfg['seed']}.json"
-    seed, days, scale = _get(cfg, "seed"), _get(cfg, "days"), _get(cfg, "demand_scale")
-    hours_per_day = _get(cfg, "hours_per_day")
+    seed, days, scale = cfg["seed"], cfg["days"], cfg["demand_scale"]
     network = generate_network(
         seed,
-        n_tasks=_get(cfg, "tasks"),
-        n_vessels=None if cfg["vessels"] is None else _get(cfg, "vessels"),
-        max_duration=_get(cfg, "max_duration"),
+        n_tasks=cfg["tasks"],
+        n_vessels=cfg["vessels"],
+        max_duration=cfg["max_duration"],
         demand_scale=scale,
     )
-    weeks = [generate_demand(seed + 1 + k, network, days, scale) for k in range(_get(cfg, "weeks"))]
+    weeks = [generate_demand(seed + 1 + k, network, days, scale) for k in range(cfg["weeks"])]
     Path(out).parent.mkdir(parents=True, exist_ok=True)
-    save_instance(out, network, ScenarioSet.uniform(weeks), hours_per_day)
+    save_instance(out, network, ScenarioSet.uniform(weeks), cfg["hours_per_day"])
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_solve_full(cfg: dict) -> int:
     network, scenarios, hpd = _load(cfg)
-    if len(scenarios.weeks) == 1:
-        model = build_full_space(network, scenarios.weeks[0], hpd, _get(cfg, "breakpoints"))
-    else:
-        model = build_multiweek_full_space(network, scenarios, hpd, _get(cfg, "breakpoints"))
+    model = build_multiweek_full_space(network, scenarios, hpd, cfg["breakpoints"])
     t0 = time.perf_counter()
     report = solve_model(model, _options(cfg))
     wall = time.perf_counter() - t0
@@ -294,10 +310,10 @@ def _cmd_baseline(cfg: dict) -> int:
 
 def _cmd_tune(cfg: dict) -> int:
     network, scenarios, hpd = _load(cfg)
-    problem = _make_problem(cfg, network, scenarios, hpd)
-    config = DfoConfig(algorithm=cfg["dfo"], budget=_get(cfg, "budget"), seed=_get(cfg, "seed"))
+    problem = _make_problem(cfg, network, scenarios, hpd, _options(cfg, "final_mip_gap"))
+    config = DfoConfig(algorithm=cfg["dfo"], budget=cfg["budget"], seed=cfg["seed"])
     t0 = time.perf_counter()
-    trace = tune(problem, config, initial_rho=_initial_rho(cfg), threads=_get(cfg, "threads"))
+    trace = tune(problem, config, initial_rho=_initial_rho(cfg), threads=cfg["threads"])
     wall = time.perf_counter() - t0
     out = _out_dir(cfg, "tune")
     emit_trace(trace, out / "trace.csv")
@@ -316,16 +332,16 @@ def _cmd_transfer(cfg: dict) -> int:
         prior = [float(x) for x in source["best_rho"]]
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read prior summary {cfg['source']}: {exc}") from None
-    problem = _make_problem(cfg, network, scenarios, hpd)
+    problem = _make_problem(cfg, network, scenarios, hpd, _options(cfg, "final_mip_gap"))
     t0 = time.perf_counter()
     trace = transfer_tune(
         problem,
         prior,
-        range_fraction=_get(cfg, "range_length"),
-        budget=_get(cfg, "budget"),
-        seed=_get(cfg, "seed"),
+        range_fraction=cfg["range_length"],
+        budget=cfg["budget"],
+        seed=cfg["seed"],
         algorithm=cfg["dfo"],
-        threads=_get(cfg, "threads"),
+        threads=cfg["threads"],
     )
     wall = time.perf_counter() - t0
     out = _out_dir(cfg, "transfer")
@@ -343,7 +359,7 @@ def _cmd_transfer(cfg: dict) -> int:
 
 
 def _cmd_oracle_check(cfg: dict) -> int:
-    seed = _get(cfg, "seed")
+    seed = cfg["seed"]
     checks = []
 
     knap = ModelInstance("knapsack", "maximize")
@@ -396,7 +412,7 @@ def _cmd_oracle_check(cfg: dict) -> int:
 
 
 def _cmd_report(cfg: dict) -> int:
-    paths = sorted(cfg.get("summaries") or [])
+    paths = sorted(cfg["summaries"])
     if not paths:
         raise CliError("report needs at least one run-summary path")
     rows = []
@@ -446,22 +462,24 @@ def _fmt(value, csv: bool = False) -> str:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, instance: bool = True) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    if instance:
-        p.add_argument("--instance", help="instance JSON path")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory (or file for gen/report)")
-    p.add_argument("--time-limit", dest="time_limit", type=float)
-    p.add_argument("--mip-gap", dest="mip_gap", type=float)
-    p.add_argument("--final-mip-gap", dest="final_mip_gap", type=float)
-    p.add_argument("--breakpoints", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--sentinel", type=float)
-    p.add_argument("--aggregation", choices=AGGREGATIONS)
-    p.add_argument("--dfo", choices=("pattern", "pso", "random"))
-    p.add_argument("--budget", type=int)
-    p.add_argument("--initial-rho", dest="initial_rho")
+_FLAG_OPTIONS = {
+    "config": {"help": "JSON config file; flags override its fields"},
+    "instance": {"help": "instance JSON path"},
+    "out": {"help": "output directory (or file for gen/report)"},
+    "aggregation": {"choices": AGGREGATIONS},
+    "dfo": {"choices": ("pattern", "pso", "random")},
+}
+
+_SOLVE_FLAGS = ("config", "instance", "seed", "out", "time_limit", "mip_gap", "breakpoints")
+_TWO_LEVEL_FLAGS = _SOLVE_FLAGS + ("aggregation",)
+_SEARCH_FLAGS = _TWO_LEVEL_FLAGS + ("final_mip_gap", "threads", "dfo", "budget")
+
+
+def _add_flags(p: argparse.ArgumentParser, names) -> None:
+    """Declare ``--name-with-dashes`` for each setting; values stay strings until
+    ``_merge_config`` converts them."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAG_OPTIONS.get(name, {}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,42 +491,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     p = sub.add_parser("gen", help="generate a seeded synthetic instance file")
-    _add_common(p, instance=False)
-    p.add_argument("--tasks", type=int)
-    p.add_argument("--vessels", type=int)
-    p.add_argument("--weeks", type=int)
-    p.add_argument("--days", type=int)
-    p.add_argument("--hours-per-day", dest="hours_per_day", type=int)
-    p.add_argument("--demand-scale", dest="demand_scale", type=float)
-    p.add_argument("--max-duration", dest="max_duration", type=int)
+    _add_flags(p, ("config", "seed", "out", "tasks", "vessels", "weeks", "days", "hours_per_day",
+                   "demand_scale", "max_duration"))
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("solve-full", help="solve the monolithic full-space model")
-    _add_common(p)
+    _add_flags(p, _SOLVE_FLAGS)
     p.set_defaults(func=_cmd_solve_full)
 
     p = sub.add_parser("baseline", help="one black-box evaluation at the initial parameters")
-    _add_common(p)
+    _add_flags(p, _TWO_LEVEL_FLAGS + ("initial_rho",))
     p.set_defaults(func=_cmd_baseline)
 
     p = sub.add_parser("tune", help="tune the high-level parameters with a DFO")
-    _add_common(p)
+    _add_flags(p, _SEARCH_FLAGS + ("initial_rho",))
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("transfer", help="re-tune near parameters from a prior run summary")
-    _add_common(p)
+    _add_flags(p, _SEARCH_FLAGS + ("range_length",))
     p.add_argument("--from", dest="source", help="run-summary JSON of the prior tuning run")
-    p.add_argument("--range-length", dest="range_length", type=float)
     p.set_defaults(func=_cmd_transfer)
 
     p = sub.add_parser("oracle-check", help="compare the backend against brute-force enumeration")
-    _add_common(p, instance=False)
+    _add_flags(p, ("config", "seed", "out", "time_limit", "mip_gap"))
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("report", help="tabulate run summaries")
     p.add_argument("summaries", nargs="*")
-    p.add_argument("--config")
-    p.add_argument("--out")
+    _add_flags(p, ("config", "out"))
     p.set_defaults(func=_cmd_report)
 
     return parser

@@ -14,7 +14,7 @@ points, and the log holds each distinct point once, in evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -87,27 +87,29 @@ class BoxDomain:
         )
 
 
+# Pattern search: the first poll step as a fraction of each box side, the
+# factors a success and a failure scale the step by, and the step at which the
+# search stops.
+_MESH_INIT = 0.25
+_MESH_EXPAND = 2.0
+_MESH_CONTRACT = 0.5
+_MESH_TOL = 1e-6
+# PSO: velocity inertia and the pulls toward each particle's and the swarm's best.
+_INERTIA = 0.72
+_COGNITIVE = 1.49
+_SOCIAL = 1.49
+
+
 @dataclass
 class DfoConfig:
     algorithm: str = "pattern"
     budget: int = 100
     seed: int = 0
-    # pattern search knobs
-    mesh_init: float = 0.25
-    mesh_expand: float = 2.0
-    mesh_contract: float = 0.5
-    mesh_tol: float = 1e-6
-    # PSO knobs
     swarm_size: int = 10
-    inertia: float = 0.72
-    cognitive: float = 1.49
-    social: float = 1.49
 
     def __post_init__(self):
         if self.budget < 1:
             raise DomainError("budget must be at least 1")
-        if not 0 < self.mesh_init <= 1:
-            raise DomainError("initial mesh fraction must lie in (0, 1]")
         if self.swarm_size < 2:
             raise DomainError("swarm size must be at least 2")
 
@@ -182,8 +184,8 @@ def _pattern_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) ->
     width = domain.width
     x = domain.clip(x0 if x0 is not None else domain.center())
     f = ev([x])[0]
-    mesh = config.mesh_init
-    while ev.remaining > 0 and mesh > config.mesh_tol:
+    mesh = _MESH_INIT
+    while ev.remaining > 0 and mesh > _MESH_TOL:
         pts = []
         for d in range(n):
             step = np.zeros(n)
@@ -202,9 +204,9 @@ def _pattern_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) ->
         if vals[k] < f:
             x = np.array(pts[k])
             f = vals[k]
-            mesh = min(mesh * config.mesh_expand, 1.0)
+            mesh = min(mesh * _MESH_EXPAND, 1.0)
         else:
-            mesh *= config.mesh_contract
+            mesh *= _MESH_CONTRACT
     return ev.result("pattern")
 
 
@@ -226,7 +228,7 @@ def _pso(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) -> DfoResult:
     while ev.remaining > 0:
         r1 = rng.random((swarm, n))
         r2 = rng.random((swarm, n))
-        V = config.inertia * V + config.cognitive * r1 * (P - X) + config.social * r2 * (gx - X)
+        V = _INERTIA * V + _COGNITIVE * r1 * (P - X) + _SOCIAL * r2 * (gx - X)
         Xnew = X + V
         clipped = (Xnew < domain.lo) | (Xnew > domain.up)
         X = np.clip(Xnew, domain.lo, domain.up)

@@ -69,23 +69,19 @@ class TwoLevelProblem:
     returns weighted low-level sub-models for those decisions.  Decisions
     must be hashable, and decisions that compare equal must give the same
     low-level models: ``tune`` solves them once per distinct decision.
-    Weights must be positive and sum to 1.  The sentinel must exceed any
-    attainable true objective (the problem author's responsibility).
+    Weights must be positive and sum to 1.  An evaluation with no usable
+    solve scores ``SENTINEL``, which must exceed any attainable true
+    objective (the problem author's responsibility).
     """
 
     bounds: BoxDomain
     build_high: Callable[[np.ndarray], ModelInstance]
     extract: Callable[[ModelInstance, Solution], Any]
     build_lows: Callable[[Any], Sequence[tuple[float, ModelInstance]]]
-    sentinel: float = SENTINEL
     high_options: SolveOptions = SolveOptions()
     low_options: SolveOptions = SolveOptions()
     # tighter options for the one extra re-solve of the best point
     final_low_options: SolveOptions | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.sentinel):
-            raise DomainError(f"sentinel must be finite, got {self.sentinel}")
 
 
 @dataclass
@@ -153,7 +149,7 @@ def _solve_lows(problem: TwoLevelProblem, decision: Any) -> _Weekly:
         rep = solve_model(low_model, problem.low_options)
         reports.append(rep)
         if rep.status not in _USABLE:
-            return _Weekly(problem.sentinel, False, tuple(reports))
+            return _Weekly(SENTINEL, False, tuple(reports))
         objective += weight * _oriented(rep, low_model)
     return _Weekly(objective, True, tuple(reports))
 
@@ -205,7 +201,7 @@ def evaluate(
     high_report = solve_model(high_model, problem.high_options)
     t_high = time.perf_counter() - t0
     if high_report.status not in _USABLE:
-        return EvalResult(rho_t, problem.sentinel, False, None, high_report, [], t_high, 0.0, index)
+        return EvalResult(rho_t, SENTINEL, False, None, high_report, [], t_high, 0.0, index)
 
     decision = problem.extract(high_model, high_report.incumbent)
     t1 = time.perf_counter()

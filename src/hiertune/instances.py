@@ -2,10 +2,15 @@
 
 The generator builds seeded feed -> intermediates -> product chains with
 randomized durations, yields, costs, and caps, structurally matching the
-model builders in :mod:`hiertune.rtn`.  Instance files are JSON carrying the
-network (tasks, resources, interaction tables, costs, caps), the weekly
-demand profiles with weights, and the hour grid; the loader validates every
-network invariant and reports the first violation with its JSON path.
+model builders in :mod:`hiertune.rtn`.  Instance files are JSON objects with
+the fields ``format``, ``hours_per_day``, ``penalty``, ``tasks`` (name,
+vessel, duration, min batch fraction, startup cost), ``materials`` (name,
+class, price, storage cost and cap), ``vessels`` (name, unit cost, cap), the
+material table ``nu``, the weekly demand profiles ``weeks`` and their
+``week_weights``.  Vessel occupancy is derived from each task's vessel and
+duration, so files carry no occupancy table; a ``mu`` field written by
+earlier versions is ignored.  The loader validates every network invariant
+and reports the first violation with its JSON path.
 """
 
 from __future__ import annotations
@@ -90,7 +95,6 @@ def generate_network(
 
     tasks = []
     nu: dict[tuple[str, str, int], float] = {}
-    mu: dict[tuple[str, str, int], float] = {}
     for k in range(n_tasks):
         duration = int(rng.integers(1, max_duration + 1))
         vessel = vessels[k % n_vessels].name
@@ -104,11 +108,9 @@ def generate_network(
         tasks.append(task)
         nu[task.name, mat_names[k], 0] = -1.0
         nu[task.name, mat_names[k + 1], duration] = float(rng.uniform(0.85, 1.1))
-        mu[task.name, vessel, 0] = -1.0
-        mu[task.name, vessel, duration] = 1.0
 
     penalty = float(rng.uniform(1.5, 3.0))
-    return RtnNetwork(tasks, materials, vessels, nu, mu, penalty)
+    return RtnNetwork(tasks, materials, vessels, nu, penalty)
 
 
 def generate_demand(
@@ -155,7 +157,6 @@ def _network_payload(network: RtnNetwork) -> dict[str, Any]:
             {"name": v.name, "unit_cost": v.unit_cost, "cap": v.cap} for v in network.vessels
         ],
         "nu": _table_payload(network.nu),
-        "mu": _table_payload(network.mu),
     }
 
 
@@ -293,10 +294,9 @@ def load_instance(path: str | Path) -> tuple[RtnNetwork, ScenarioSet, int]:
         for p, row in _rows(payload, "vessels", "$")
     ]
     nu = _table_from_payload(_field(payload, "nu", "$", _object), "$.nu")
-    mu = _table_from_payload(_field(payload, "mu", "$", _object), "$.mu")
     penalty = _field(payload, "penalty", "$", _number)
     try:
-        network = RtnNetwork(tasks, materials, vessels, nu, mu, penalty)
+        network = RtnNetwork(tasks, materials, vessels, nu, penalty)
     except ModelError as exc:
         raise InstanceError(f"$.network: {exc}") from None
 

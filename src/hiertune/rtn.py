@@ -84,12 +84,13 @@ class Vessel:
 
 
 class RtnNetwork:
-    """Validated network data: tasks, resources, and interaction tables.
+    """Validated network data: tasks, resources, and the material table.
 
     ``nu[(task, material, theta)]`` carries material flows (negative =
-    consumed, positive = produced) ``theta`` hours after a task start;
-    ``mu[(task, vessel, theta)]`` carries the occupancy convention -1 at
-    theta=0 and +1 at theta=duration for the hosting vessel.
+    consumed, positive = produced) ``theta`` hours after a task start.
+    Vessel occupancy is derived from each task's ``vessel`` and ``duration``:
+    a start takes the hosting vessel at theta=0 and frees it at
+    theta=duration.
     """
 
     def __init__(
@@ -98,14 +99,12 @@ class RtnNetwork:
         materials: Sequence[Material],
         vessels: Sequence[Vessel],
         nu: Mapping[tuple[str, str, int], float],
-        mu: Mapping[tuple[str, str, int], float],
         penalty: float,
     ):
         self.tasks = tuple(tasks)
         self.materials = tuple(materials)
         self.vessels = tuple(vessels)
         self.nu = dict(nu)
-        self.mu = dict(mu)
         self.penalty = float(penalty)
         self.task_by_name = {t.name: t for t in self.tasks}
         self.material_by_name = {m.name: m for m in self.materials}
@@ -180,21 +179,6 @@ class RtnNetwork:
                 raise ModelError(f"task {t.name!r}: min batch fraction must lie in [0, 1]")
             if t.startup_cost < 0:
                 raise ModelError(f"task {t.name!r}: startup cost must be nonnegative")
-            if self.mu.get((t.name, t.vessel, 0)) != -1.0:
-                raise ModelError(f"task {t.name!r}: mu at theta=0 on {t.vessel!r} must be -1")
-            if self.mu.get((t.name, t.vessel, t.duration)) != 1.0:
-                raise ModelError(
-                    f"task {t.name!r}: mu at theta={t.duration} on {t.vessel!r} must be +1"
-                )
-        for (ti, r, theta), val in self.mu.items():
-            if ti not in self.task_by_name:
-                raise ModelError(f"mu[{ti},{r},{theta}]: unknown task")
-            if r not in self.vessel_by_name:
-                raise ModelError(f"mu[{ti},{r},{theta}]: mu is only defined on vessels")
-            if r != self.task_by_name[ti].vessel:
-                raise ModelError(f"mu[{ti},{r},{theta}]: task is hosted by a single vessel")
-            if theta not in (0, self.task_by_name[ti].duration):
-                raise ModelError(f"mu[{ti},{r},{theta}]: occupancy entries sit at 0 and duration")
         for (ti, r, theta), val in self.nu.items():
             if ti not in self.task_by_name:
                 raise ModelError(f"nu[{ti},{r},{theta}]: unknown task")
@@ -467,12 +451,11 @@ def _add_week_block(
             if t > 1:
                 expr[x_vid[v.name, t - 1]] = -1.0
             for task in network.hosted[v.name]:
-                for theta in (0, task.duration):
-                    coef = network.mu.get((task.name, v.name, theta), 0.0)
-                    t0 = t - theta
-                    if coef != 0.0 and 1 <= t0 <= H:
-                        key = n_vid[task.name, t0]
-                        expr[key] = expr.get(key, 0.0) - coef
+                # mu N moved to the left: mu is -1 at theta=0 (a start takes
+                # the vessel) and +1 at theta=duration (the end frees it)
+                expr[n_vid[task.name, t]] = 1.0
+                if t - task.duration >= 1:
+                    expr[n_vid[task.name, t - task.duration]] = -1.0
             rhs = 1.0 if t == 1 else 0.0  # vessels start available, materials empty
             model.add_constraint(expr, EQ, rhs, f"{prefix}bal[{v.name},{t}]")
 
@@ -842,7 +825,6 @@ def make_two_level_problem(
     high_options=None,
     low_options=None,
     final_low_options=None,
-    sentinel: float = 1e10,
 ):
     """Bind the network to the tuning engine.
 
@@ -886,7 +868,6 @@ def make_two_level_problem(
         build_high=build_high,
         extract=extract,
         build_lows=build_lows,
-        sentinel=sentinel,
         high_options=high_options or SolveOptions(),
         low_options=low_options or SolveOptions(),
         final_low_options=final_low_options,

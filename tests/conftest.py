@@ -24,13 +24,7 @@ def chain2():
         ("T1", "A", 0): -1.0,
         ("T1", "P", 2): 1.0,
     }
-    mu = {
-        ("T0", "V0", 0): -1.0,
-        ("T0", "V0", 1): 1.0,
-        ("T1", "V1", 0): -1.0,
-        ("T1", "V1", 2): 1.0,
-    }
-    return RtnNetwork(tasks, materials, vessels, nu, mu, penalty=2.0)
+    return RtnNetwork(tasks, materials, vessels, nu, penalty=2.0)
 
 
 @pytest.fixture

@@ -5,6 +5,10 @@ from pathlib import Path
 import pytest
 
 from hiertune.cli import main
+from hiertune.instances import load_instance
+from hiertune.milp import solve_model
+from hiertune.model import SolveOptions
+from hiertune.rtn import build_full_space
 
 
 def run(argv):
@@ -22,7 +26,8 @@ def instance(tmp_path):
     return path
 
 
-FAST = ["--mip-gap", "0.01", "--breakpoints", "2", "--time-limit", "30", "--threads", "1"]
+SOLVE = ["--mip-gap", "0.01", "--breakpoints", "2", "--time-limit", "30"]
+FAST = SOLVE + ["--threads", "1"]
 
 
 def test_gen_writes_instance(instance):
@@ -48,14 +53,14 @@ def test_tune_budget_one_trace_row(tmp_path, instance):
 
 def test_solve_full_and_baseline(tmp_path, instance):
     out = tmp_path / "sf"
-    code = run(["solve-full", "--instance", instance, "--out", out] + FAST)
+    code = run(["solve-full", "--instance", instance, "--out", out] + SOLVE)
     assert code == 0
     report = json.loads((out / "solve_report.json").read_text())
     assert report["status"] in ("optimal", "feasible-gap")
 
     out2 = tmp_path / "base"
     code = run(
-        ["baseline", "--instance", instance, "--aggregation", "approach2", "--out", out2] + FAST
+        ["baseline", "--instance", instance, "--aggregation", "approach2", "--out", out2] + SOLVE
     )
     assert code == 0
     base = json.loads((out2 / "summary.json").read_text())
@@ -133,8 +138,9 @@ def test_oracle_check_matches(tmp_path):
 
 def test_config_file_and_overrides(tmp_path, instance):
     cfg = tmp_path / "cfg.json"
+    # range_length is a transfer setting: tune leaves it unread
     cfg.write_text(json.dumps({"budget": 2, "mip_gap": 0.01, "breakpoints": 2,
-                               "aggregation": "approach1", "threads": 1}))
+                               "aggregation": "approach1", "threads": 1, "range_length": 0.5}))
     out = tmp_path / "t"
     assert run(["tune", "--instance", instance, "--config", cfg, "--seed", 1,
                 "--out", out, "--budget", "3"]) == 0
@@ -159,10 +165,11 @@ def test_error_exit_codes(tmp_path):
     assert run(["oracle-check", "--config", cfg, "--out", tmp_path / "e3"]) == 2
     assert json.loads((tmp_path / "e3" / "error.json").read_text())["error"] == "config"
 
-    out4 = tmp_path / "e4"
+    out4 = tmp_path / "e4" / "report.csv"
     assert run(["report", tmp_path / "absent.json", "--out", out4]) == 2
-    record = json.loads((out4 / "error.json").read_text())
+    record = json.loads((out4.parent / "error.json").read_text())
     assert record["error"] == "config" and record["mode"] == "report"
+    assert not out4.exists()
 
 
 def test_nan_week_weight_exits_2(tmp_path, instance):
@@ -171,7 +178,7 @@ def test_nan_week_weight_exits_2(tmp_path, instance):
     bad = tmp_path / "nan-weight.json"
     bad.write_text(json.dumps(payload))
     out = tmp_path / "b"
-    code = run(["baseline", "--instance", bad, "--aggregation", "approach1", "--out", out] + FAST)
+    code = run(["baseline", "--instance", bad, "--aggregation", "approach1", "--out", out] + SOLVE)
     assert code == 2
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "config" and "week_weights" in record["message"]
@@ -180,7 +187,7 @@ def test_nan_week_weight_exits_2(tmp_path, instance):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--threads", "0"), ("--threads", "-3"), ("--time-limit", "nan"), ("--sentinel", "nan")],
+    [("--threads", "0"), ("--threads", "-3"), ("--time-limit", "nan")],
 )
 def test_bad_numeric_flag_exits_2(tmp_path, instance, flag, value):
     out = tmp_path / "t"
@@ -210,18 +217,25 @@ def test_transfer_bad_range_length_exits_2(tmp_path, instance, value):
 @pytest.mark.parametrize(
     "flag, value",
     [("--demand-scale", "nan"), ("--demand-scale", "inf"), ("--hours-per-day", "0"),
-     ("--days", "0")],
+     ("--days", "0"), ("--tasks", "0"), ("--seed", "-1")],
 )
 def test_gen_bad_value_exits_2_and_writes_no_instance(tmp_path, flag, value):
     out = tmp_path / "inst.json"
     assert run(["gen", "--seed", 1, "--out", out, flag, value]) == 2
-    assert not out.is_file()
+    assert not out.exists()
+    record = json.loads((tmp_path / "error.json").read_text())
+    assert record["error"] == "config" and record["mode"] == "gen"
+    # the failed run left the path free for the next one
+    assert run(["gen", "--seed", 1, "--out", out, "--days", 1, "--hours-per-day", 3]) == 0
+    assert out.is_file()
 
 
 @pytest.mark.parametrize(
     "config, flags",
-    [(None, ["--initial-rho", "a,b"]), ({"budget": "x"}, []), ({"time_limit": None}, [])],
-    ids=["initial-rho", "config-budget", "config-time-limit"],
+    [(None, ["--initial-rho", "a,b"]), ({"budget": "x"}, []), ({"time_limit": None}, []),
+     ({"budget": 2.5}, []), ({"threads": True}, [])],
+    ids=["initial-rho", "config-budget", "config-time-limit", "config-fractional-budget",
+         "config-bool-threads"],
 )
 def test_malformed_value_exits_2(tmp_path, instance, config, flags):
     if config is not None:
@@ -231,7 +245,7 @@ def test_malformed_value_exits_2(tmp_path, instance, config, flags):
     out = tmp_path / "t"
     code = run(
         ["tune", "--instance", instance, "--aggregation", "approach1", "--breakpoints", 2,
-         "--mip-gap", "0.01", "--threads", 1, "--out", out] + flags
+         "--mip-gap", "0.01", "--out", out] + flags
     )
     assert code == 2
     assert json.loads((out / "error.json").read_text())["error"] == "config"
@@ -249,3 +263,41 @@ def test_summary_counts_design_cache_hits(tmp_path, instance):
     hits = sum(int(r["design_cache_hit"]) for r in rows)
     assert hits > 0
     assert json.loads((out / "summary.json").read_text())["design_cache_hits"] == hits
+
+
+def test_config_numbers_are_echoed_converted(tmp_path, instance):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": "1", "time_limit": "30"}))
+    out = tmp_path / "t"
+    assert run(["tune", "--instance", instance, "--config", cfg, "--aggregation", "approach1",
+                "--budget", 1, "--breakpoints", 2, "--mip-gap", "0.01", "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["threads"] == 1 and type(summary["threads"]) is int
+    assert summary["options"]["time_limit"] == 30.0
+    assert type(summary["options"]["time_limit"]) is float
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen", "--budget", "5"], ["solve-full", "--threads", "1"], ["tune", "--sentinel", "1"]],
+)
+def test_flag_the_subcommand_does_not_read_is_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_solve_full_one_week_matches_single_week_model(tmp_path):
+    inst = tmp_path / "one.json"
+    assert run(["gen", "--seed", 5, "--tasks", 2, "--weeks", 1, "--days", 2, "--hours-per-day", 3,
+                "--demand-scale", 6, "--max-duration", 2, "--out", inst]) == 0
+    out = tmp_path / "sf"
+    assert run(["solve-full", "--instance", inst, "--breakpoints", 2, "--mip-gap", "1e-9",
+                "--out", out]) == 0
+    report = json.loads((out / "solve_report.json").read_text())
+    network, scenarios, hpd = load_instance(inst)
+    model = build_full_space(network, scenarios.weeks[0], hpd, 2)
+    want = solve_model(model, SolveOptions(mip_gap=1e-9))
+    assert report["status"] == want.status.value == "optimal"
+    assert report["objective"] == pytest.approx(want.incumbent.objective, rel=1e-9, abs=1e-9)
+    assert (report["variables"], report["constraints"]) == (model.n_variables, model.n_constraints)

@@ -44,8 +44,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         DfoConfig(budget=0)
     with pytest.raises(DomainError):
-        DfoConfig(mesh_init=0.0)
-    with pytest.raises(DomainError):
         DfoConfig(swarm_size=1)
 
 

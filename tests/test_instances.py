@@ -12,7 +12,14 @@ from hiertune.instances import (
     save_instance,
 )
 from hiertune.model import ModelError
-from hiertune.rtn import ScenarioSet
+from hiertune.rtn import (
+    RtnDesign,
+    ScenarioSet,
+    TunableParameters,
+    build_full_space,
+    build_high_level,
+    build_low_level,
+)
 
 
 def test_generator_produces_valid_networks():
@@ -43,9 +50,47 @@ def test_round_trip(tmp_path):
     assert net2.tasks == net.tasks
     assert net2.materials == net.materials
     assert net2.vessels == net.vessels
-    assert net2.nu == net.nu and net2.mu == net.mu
+    assert net2.nu == net.nu
     assert scen2.weeks == tuple(weeks)
     assert scen2.weights == (0.5, 0.5)
+
+
+def _signature(model):
+    """Variables, rows and objective of the lowered model, in order."""
+    low = model.lowered()
+    rows = [(c.label, list(c.expr.terms.items()), c.expr.constant, c.sense, c.rhs)
+            for c in low.constraints]
+    return low.variables, rows, list(low.objective.terms.items()), low.objective.constant
+
+
+def test_file_with_occupancy_table_builds_the_same_models(tmp_path):
+    # files once carried the occupancy table ``mu``, fixed at -1 when a task
+    # starts and +1 when it ends, on the task's own vessel; the loader ignores it
+    net = generate_network(7, n_tasks=3, n_vessels=2, max_duration=3)
+    week = generate_demand(8, net, days=2)
+    plain = tmp_path / "plain.json"
+    save_instance(plain, net, ScenarioSet.uniform([week]), hours_per_day=4)
+    payload = json.loads(plain.read_text())
+    assert "mu" not in payload
+    payload["mu"] = {
+        t["name"]: {t["vessel"]: {"0": -1.0, str(t["duration"]): 1.0}} for t in payload["tasks"]
+    }
+    with_mu = tmp_path / "with-mu.json"
+    with_mu.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+    rho = TunableParameters(2.0, 1.0, 0.5, 0.5, 0.0, 1.0)
+    signatures = []
+    for path in (plain, with_mu):
+        n, scen, hpd = load_instance(path)
+        demand = scen.weeks[0]
+        design = RtnDesign({v.name: 0.5 * v.cap for v in n.vessels},
+                           {m.name: 0.5 * m.storage_cap for m in n.materials})
+        signatures.append([
+            _signature(build_full_space(n, demand, hpd, 3)),
+            _signature(build_high_level(n, demand, rho, hpd, 3, demand.days)),
+            _signature(build_low_level(n, demand, design, hpd, 3)),
+        ])
+    assert signatures[0] == signatures[1]
 
 
 def _payload(tmp_path):
@@ -71,7 +116,7 @@ def test_loader_reports_first_violation_path(tmp_path):
         load_instance(path)
 
     path, payload = _payload(tmp_path)
-    payload["mu"]["T0"]["M0"] = {"0": -1.0}
+    payload["nu"]["T0"]["V0"] = {"0": -1.0}
     path.write_text(json.dumps(payload))
     with pytest.raises(InstanceError, match=r"\$\.network"):
         load_instance(path)

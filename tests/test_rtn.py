@@ -60,7 +60,6 @@ def test_nu_overall(chain2):
         net.materials,
         net.vessels,
         {**net.nu, ("T1", "A", 2): 1.0},
-        net.mu,
         net.penalty,
     )
     assert nu_overall(net2, "T1", "A") == pytest.approx(0.0)
@@ -71,9 +70,8 @@ def test_nu_overall_random_table_matches_direct_sum():
     tasks = [Task("T", "V", 3)]
     materials = [Material("M", "feed", 1.0, 0.1, 10.0)]
     vessels = [Vessel("V", 1.0, 5.0)]
-    mu = {("T", "V", 0): -1.0, ("T", "V", 3): 1.0}
     table = {("T", "M", theta): float(rng.normal()) for theta in range(4)}
-    net = RtnNetwork(tasks, materials, vessels, table, mu, 1.0)
+    net = RtnNetwork(tasks, materials, vessels, table, 1.0)
     assert nu_overall(net, "T", "M") == pytest.approx(sum(table.values()))
 
 
@@ -84,21 +82,14 @@ def test_network_validation_rejects_bad_tables(chain2):
         vessels=chain2.vessels,
         penalty=chain2.penalty,
     )
-    # missing occupancy entry
-    with pytest.raises(ModelError):
-        RtnNetwork(nu=chain2.nu, mu={("T0", "V0", 0): -1.0}, **base)
-    # mu on a material
-    bad_mu = {**chain2.mu, ("T0", "F", 0): -1.0}
-    with pytest.raises(ModelError):
-        RtnNetwork(nu=chain2.nu, mu=bad_mu, **base)
     # nu on a vessel
     bad_nu = {**chain2.nu, ("T0", "V0", 0): -1.0}
     with pytest.raises(ModelError):
-        RtnNetwork(nu=bad_nu, mu=chain2.mu, **base)
+        RtnNetwork(nu=bad_nu, **base)
     # theta beyond the task duration
     bad_nu = {**chain2.nu, ("T0", "A", 2): 1.0}
     with pytest.raises(ModelError):
-        RtnNetwork(nu=bad_nu, mu=chain2.mu, **base)
+        RtnNetwork(nu=bad_nu, **base)
 
 
 def test_vessel_classification(chain2):
@@ -164,8 +155,7 @@ def test_full_space_hand_count():
     ]
     vessels = [Vessel("V", 1.0, 30.0)]
     nu = {("T", "F", 0): -1.0, ("T", "P", 2): 1.0}
-    mu = {("T", "V", 0): -1.0, ("T", "V", 2): 1.0}
-    net = RtnNetwork(tasks, materials, vessels, nu, mu, 2.0)
+    net = RtnNetwork(tasks, materials, vessels, nu, 2.0)
     dem = DemandProfile(1, {"P": (10.0,)})
     nbp = 8
     model = build_full_space(net, dem, hours_per_day=24, n_breakpoints=nbp)
@@ -385,8 +375,7 @@ def test_high_level_zero_penalty_and_negative_margin_stops_production():
     ]
     vessels = [Vessel("V", 0.2, 30.0)]
     nu = {("T", "F", 0): -1.0, ("T", "P", 1): 1.0}
-    mu = {("T", "V", 0): -1.0, ("T", "V", 1): 1.0}
-    net = RtnNetwork(tasks, materials, vessels, nu, mu, penalty=3.0)
+    net = RtnNetwork(tasks, materials, vessels, nu, penalty=3.0)
     dem = DemandProfile(2, {"P": (5.0, 5.0)})
 
     rho0 = TunableParameters(0.0, 1.0, 1.0, 1.0, 1.0, 1.0)
