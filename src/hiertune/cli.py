@@ -121,6 +121,26 @@ def _number(key: str, raw):
     return value
 
 
+def _read_object(path, what: str) -> dict:
+    """The JSON object in file ``path``, else CliError naming ``what``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot read {what} {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise CliError(f"{what} {path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _rho(key: str, raw) -> np.ndarray:
+    """``raw`` read as the tuned parameters: a list of numbers or a
+    comma-separated string of them, else CliError."""
+    parts = raw.split(",") if isinstance(raw, str) else raw
+    if not isinstance(parts, list):
+        raise CliError(f"{key}: expected a list of numbers, got {raw!r}")
+    return TunableParameters.from_array([_number(key, x) for x in parts]).to_array()
+
+
 def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -131,10 +151,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
     flags = {k: v for k, v in vars(args).items() if k not in ("config", "func")}
     cfg = {key: _DEFAULTS.get(key) for key in flags}
     if args.config:
-        try:
-            loaded = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"cannot read config {args.config}: {exc}") from None
+        loaded = _read_object(args.config, "config")
         unknown = set(loaded) - set(_DEFAULTS) - {"instance", "mode", "out", "source"}
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -173,12 +190,6 @@ def _error_record(cfg: dict, mode: str, kind: str, message: str) -> None:
 
 def _options(cfg: dict, gap_key: str = "mip_gap") -> SolveOptions:
     return SolveOptions(time_limit=cfg["time_limit"], mip_gap=cfg[gap_key])
-
-
-def _initial_rho(cfg: dict) -> np.ndarray:
-    raw = cfg["initial_rho"]
-    parts = [_number("initial_rho", x) for x in (raw.split(",") if isinstance(raw, str) else raw)]
-    return TunableParameters.from_array(parts).to_array()
 
 
 def _load(cfg: dict):
@@ -237,6 +248,11 @@ def _make_problem(cfg: dict, network, scenarios, hours_per_day: int, final_low_o
 
 
 def _cmd_gen(cfg: dict) -> int:
+    if cfg["max_duration"] > cfg["hours_per_day"]:
+        raise CliError(
+            f"max_duration {cfg['max_duration']} exceeds hours_per_day {cfg['hours_per_day']}: "
+            "no task may last longer than a day"
+        )
     out = cfg.get("out") or f"instance-seed{cfg['seed']}.json"
     seed, days, scale = cfg["seed"], cfg["days"], cfg["demand_scale"]
     network = generate_network(
@@ -288,7 +304,7 @@ def _cmd_baseline(cfg: dict) -> int:
     network, scenarios, hpd = _load(cfg)
     problem = _make_problem(cfg, network, scenarios, hpd)
     t0 = time.perf_counter()
-    result = evaluate(problem, _initial_rho(cfg))
+    result = evaluate(problem, _rho("initial_rho", cfg["initial_rho"]))
     wall = time.perf_counter() - t0
     out = _out_dir(cfg, "baseline")
     payload = {
@@ -313,7 +329,8 @@ def _cmd_tune(cfg: dict) -> int:
     problem = _make_problem(cfg, network, scenarios, hpd, _options(cfg, "final_mip_gap"))
     config = DfoConfig(algorithm=cfg["dfo"], budget=cfg["budget"], seed=cfg["seed"])
     t0 = time.perf_counter()
-    trace = tune(problem, config, initial_rho=_initial_rho(cfg), threads=cfg["threads"])
+    trace = tune(problem, config, initial_rho=_rho("initial_rho", cfg["initial_rho"]),
+                 threads=cfg["threads"])
     wall = time.perf_counter() - t0
     out = _out_dir(cfg, "tune")
     emit_trace(trace, out / "trace.csv")
@@ -327,11 +344,7 @@ def _cmd_transfer(cfg: dict) -> int:
     network, scenarios, hpd = _load(cfg)
     if not cfg.get("source"):
         raise CliError("--from run-summary path is required for transfer")
-    try:
-        source = json.loads(Path(cfg["source"]).read_text())
-        prior = [float(x) for x in source["best_rho"]]
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
-        raise CliError(f"cannot read prior summary {cfg['source']}: {exc}") from None
+    prior = _rho("best_rho", _read_object(cfg["source"], "prior summary").get("best_rho"))
     problem = _make_problem(cfg, network, scenarios, hpd, _options(cfg, "final_mip_gap"))
     t0 = time.perf_counter()
     trace = transfer_tune(
@@ -367,7 +380,7 @@ def _cmd_oracle_check(cfg: dict) -> int:
     b = knap.add_variable("b", Kind.BINARY, 0, 1)
     knap.add_objective_term(a, 3.0)
     knap.add_objective_term(b, 2.0)
-    knap.add_constraint({a: 2.0, b: 2.0}, LE, 3.0, "weight")
+    knap.add_constraint({a: 2.0, b: 2.0}, LE, 3.0)
     knap.seal()
     checks.append(("knapsack-2bin", knap))
 
@@ -417,10 +430,7 @@ def _cmd_report(cfg: dict) -> int:
         raise CliError("report needs at least one run-summary path")
     rows = []
     for path in paths:
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CliError(f"malformed summary {path}: {exc}") from None
+        data = _read_object(path, "summary")
         rows.append(
             {
                 "run": path,

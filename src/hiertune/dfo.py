@@ -98,20 +98,22 @@ _MESH_TOL = 1e-6
 _INERTIA = 0.72
 _COGNITIVE = 1.49
 _SOCIAL = 1.49
+# PSO: particles per swarm, capped by the budget and at least 2.
+_SWARM = 10
 
 
 @dataclass
 class DfoConfig:
+    """A search's settings.  ``budget`` counts distinct points; the swarm
+    size of ``pso`` is fixed at ``_SWARM`` (fewer when the budget is smaller)."""
+
     algorithm: str = "pattern"
     budget: int = 100
     seed: int = 0
-    swarm_size: int = 10
 
     def __post_init__(self):
         if self.budget < 1:
             raise DomainError("budget must be at least 1")
-        if self.swarm_size < 2:
-            raise DomainError("swarm size must be at least 2")
 
 
 @dataclass
@@ -120,7 +122,6 @@ class DfoResult:
     best_f: float
     log: list[tuple[tuple[float, ...], float]]
     n_evals: int
-    algorithm: str
 
 
 # A search whose requests are all cached spends no budget: a swarm collapsed
@@ -138,8 +139,7 @@ class _Evaluator:
     unevaluated, and ``remaining`` reads 0 so the search ends.
     """
 
-    def __init__(self, objective, batch, budget):
-        self.objective = objective
+    def __init__(self, batch, budget):
         self.batch = batch
         self.budget = budget
         self.requests_left = _REQUESTS_PER_EVALUATION * budget
@@ -160,8 +160,7 @@ class _Evaluator:
             if key not in self.cache and key not in fresh and len(fresh) < room:
                 fresh[key] = p
         if fresh:
-            todo = list(fresh.values())
-            values = self.batch(todo) if self.batch is not None else [self.objective(p) for p in todo]
+            values = self.batch(list(fresh.values()))
             for key, v in zip(fresh, values):
                 self.cache[key] = float(v)
         answered = []
@@ -171,11 +170,11 @@ class _Evaluator:
             answered.append(self.cache[key])
         return answered
 
-    def result(self, algorithm: str) -> DfoResult:
+    def result(self) -> DfoResult:
         log = list(self.cache.items())
         # the earliest point wins ties
         best_x, best_f = min(log, key=lambda entry: entry[1])
-        return DfoResult(np.array(best_x), best_f, log, len(log), algorithm)
+        return DfoResult(np.array(best_x), best_f, log, len(log))
 
 
 def _pattern_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) -> DfoResult:
@@ -207,13 +206,13 @@ def _pattern_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) ->
             mesh = min(mesh * _MESH_EXPAND, 1.0)
         else:
             mesh *= _MESH_CONTRACT
-    return ev.result("pattern")
+    return ev.result()
 
 
 def _pso(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) -> DfoResult:
     rng = np.random.default_rng(config.seed)
     n = domain.dim
-    swarm = max(2, min(config.swarm_size, config.budget))
+    swarm = max(2, min(_SWARM, config.budget))
     X = np.array([domain.sample(rng) for _ in range(swarm)])
     if x0 is not None:
         X[0] = domain.clip(x0)
@@ -241,7 +240,7 @@ def _pso(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) -> DfoResult:
             if v < gf:
                 gf = float(v)
                 gx = X[i].copy()
-    return ev.result("pso")
+    return ev.result()
 
 
 def _random_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) -> DfoResult:
@@ -251,7 +250,7 @@ def _random_search(ev: _Evaluator, domain: BoxDomain, config: DfoConfig, x0) -> 
     while ev.remaining > 0:
         take = min(ev.remaining, 64)
         ev([domain.sample(rng) for _ in range(take)])
-    return ev.result("random")
+    return ev.result()
 
 
 ALGORITHMS: dict[str, Callable] = {
@@ -262,7 +261,7 @@ ALGORITHMS: dict[str, Callable] = {
 
 
 def run_dfo(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], float] | None,
     domain: BoxDomain,
     config: DfoConfig,
     x0: Sequence[float] | None = None,
@@ -272,8 +271,8 @@ def run_dfo(
 
     ``config.budget`` counts distinct points: each is evaluated once, and a
     repeated point is answered from the run's cache.  ``batch``, when given,
-    evaluates a list of unseen, distinct points at once in place of
-    ``objective`` (the caller may parallelize); results must match pointwise
+    evaluates a list of unseen, distinct points at once and ``objective`` is
+    not called (the caller may parallelize); its results must match pointwise
     evaluation.  The search ends when the budget is spent, when the algorithm
     stops on its own, or after ``50 * budget`` requested points, which stops a
     search that only revisits cached points.
@@ -282,5 +281,5 @@ def run_dfo(
         raise DomainError(f"unknown DFO algorithm {config.algorithm!r}")
     if x0 is not None:
         domain.require(x0)
-    ev = _Evaluator(objective, batch, config.budget)
+    ev = _Evaluator(batch or (lambda points: [objective(p) for p in points]), config.budget)
     return ALGORITHMS[config.algorithm](ev, domain, config, x0)

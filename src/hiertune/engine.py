@@ -51,7 +51,6 @@ __all__ = [
     "tune",
     "transfer_tune",
     "emit_trace",
-    "read_trace",
     "SENTINEL",
 ]
 
@@ -263,7 +262,7 @@ def tune(
         results.extend(evaluated)
         return [r.objective for r in evaluated]
 
-    run_dfo(lambda x: batch([x])[0], problem.bounds, config, x0=initial_rho, batch=batch)
+    run_dfo(None, problem.bounds, config, x0=initial_rho, batch=batch)
     seen = set()
     for r in results:
         if r.decision is not None:
@@ -330,8 +329,3 @@ def emit_trace(trace: TuningTrace, path) -> None:
                 + [repr(c) for c in r.rho]
                 + [repr(r.objective), int(r.feasible), repr(b), repr(clock), int(r.design_hit)]
             )
-
-
-def read_trace(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return [dict(row) for row in csv.DictReader(fh)]

@@ -10,7 +10,8 @@ material table ``nu``, the weekly demand profiles ``weeks`` and their
 ``week_weights``.  Vessel occupancy is derived from each task's vessel and
 duration, so files carry no occupancy table; a ``mu`` field written by
 earlier versions is ignored.  The loader validates every network invariant
-and reports the first violation with its JSON path.
+and reports the first violation with its JSON path; that includes a task
+longer than ``hours_per_day``, which no model builder accepts.
 """
 
 from __future__ import annotations
@@ -275,6 +276,12 @@ def load_instance(path: str | Path) -> tuple[RtnNetwork, ScenarioSet, int]:
         )
         for p, row in _rows(payload, "tasks", "$")
     ]
+    for k, task in enumerate(tasks):
+        if task.duration > hours_per_day:
+            raise InstanceError(
+                f"$.tasks[{k}].duration: task {task.name!r} lasts {task.duration} h, "
+                f"more than hours_per_day ({hours_per_day})"
+            )
     materials = [
         Material(
             name=_field(row, "name", p, _string),

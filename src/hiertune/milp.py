@@ -60,17 +60,6 @@ class SolveReport:
     lp_iterations: int
     wall_time: float
 
-    def comparable_fields(self) -> tuple:
-        """Everything except wall time, for determinism checks."""
-        inc = None
-        if self.incumbent is not None:
-            inc = (
-                tuple(sorted(self.incumbent.values.items())),
-                self.incumbent.objective,
-                self.incumbent.status,
-            )
-        return (self.status, inc, self.best_bound, self.gap, self.nodes, self.lp_iterations)
-
 
 class _Arrays:
     """Column-form (CSC) snapshot of a sealed, lowered model."""

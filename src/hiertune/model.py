@@ -2,10 +2,12 @@
 
 A :class:`ModelInstance` is built incrementally (variables, linear
 constraints, piecewise cost terms, linear objective), sealed, and then
-handed to the solver in :mod:`hiertune.milp`.  Concave ``prefactor * v**p``
-cost terms are kept symbolic on the model and expanded into the incremental
-(binary per segment) encoding by :meth:`ModelInstance.lowered`, which is
-exact at the breakpoints and linear in between.
+handed to the solver in :mod:`hiertune.milp`.  Variables are looked up by
+name; constraints carry no name and are identified by their row index
+``cid``.  Concave ``prefactor * v**p`` cost terms are kept symbolic on the
+model, as breakpoint values, and expanded into the incremental (binary per
+segment) encoding by :meth:`ModelInstance.lowered`, which is exact at the
+breakpoints and linear in between.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -133,7 +135,6 @@ class LinExpr:
 @dataclass(frozen=True)
 class Constraint:
     cid: int
-    label: str
     expr: LinExpr
     sense: str
     rhs: float
@@ -143,14 +144,12 @@ class Constraint:
 class PiecewiseCostTerm:
     """Cost term ``interp(breakpoints, values)(variable)`` added to the objective.
 
-    ``values[k]`` already includes the prefactor; ``prefactor`` is kept for
-    reporting and re-scaling.
+    ``values[k]`` already includes the prefactor.
     """
 
     variable: int
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
-    prefactor: float
 
     def evaluate(self, v: float) -> float:
         return float(np.interp(v, self.breakpoints, self.values))
@@ -193,7 +192,6 @@ class ModelInstance:
         self._vars: list[Variable] = []
         self._by_name: dict[str, int] = {}
         self._cons: list[Constraint] = []
-        self._by_label: dict[str, int] = {}
         self.objective = LinExpr()
         self._pwl: list[PiecewiseCostTerm] = []
         self._sealed = False
@@ -232,12 +230,6 @@ class ModelInstance:
             return self._by_name[name]
         except KeyError:
             raise ModelError(f"unknown variable name {name!r}") from None
-
-    def constraint(self, label: str) -> Constraint:
-        try:
-            return self._cons[self._by_label[label]]
-        except KeyError:
-            raise ModelError(f"unknown constraint label {label!r}") from None
 
     def integer_ids(self) -> list[int]:
         return [v.vid for v in self._vars if v.is_integer]
@@ -283,8 +275,11 @@ class ModelInstance:
         expr: LinExpr | Mapping[int, float] | Iterable[tuple[int, float]],
         sense: str,
         rhs: float,
-        label: str | None = None,
     ) -> Constraint:
+        """Append the row ``expr sense rhs``; its ``cid`` is its position.
+
+        A constant in ``expr`` moves to the right-hand side.
+        """
         self._check_open()
         if sense not in _ROW_SENSES:
             raise ModelError(f"bad row sense {sense!r}")
@@ -296,16 +291,10 @@ class ModelInstance:
         for vid in expr.terms:
             if not 0 <= vid < len(self._vars):
                 raise ModelError(f"constraint references unknown variable id {vid}")
-        if label is None:
-            label = f"c{len(self._cons)}"
-        if not _NAME_RE.match(label):
-            raise ModelError(f"bad constraint label {label!r}")
-        if label in self._by_label:
-            raise ModelError(f"duplicate constraint label {label!r}")
-        con = Constraint(len(self._cons), label, expr, sense, rhs - expr.constant)
         if expr.constant:
-            con = Constraint(con.cid, label, LinExpr(expr.terms), sense, rhs - expr.constant)
-        self._by_label[label] = con.cid
+            rhs -= expr.constant
+            expr = LinExpr(expr.terms)
+        con = Constraint(len(self._cons), expr, sense, rhs)
         self._cons.append(con)
         return con
 
@@ -347,7 +336,7 @@ class ModelInstance:
             raise ModelError("exponent must lie in (0, 1]")
         bps = np.linspace(0.0, v.upper, n_breakpoints)
         vals = prefactor * bps**exponent
-        term = PiecewiseCostTerm(vid, tuple(bps.tolist()), tuple(vals.tolist()), float(prefactor))
+        term = PiecewiseCostTerm(vid, tuple(bps.tolist()), tuple(vals.tolist()))
         self._pwl.append(term)
         return term
 
@@ -362,7 +351,6 @@ class ModelInstance:
         out._vars = list(self._vars)
         out._by_name = dict(self._by_name)
         out._cons = list(self._cons)
-        out._by_label = dict(self._by_label)
         out.objective = self.objective.copy()
         out._pwl = list(self._pwl)
         return out
@@ -427,51 +415,13 @@ class ModelInstance:
                 out.add_objective_term(did, slope)
                 link.add_term(did, -1.0)
             out.add_objective_constant(vals[0])
-            out.add_constraint(link, EQ, bps[0], f"{base}.link")
+            out.add_constraint(link, EQ, bps[0])
             for k in range(nseg - 1):
                 w_k = bps[k + 1] - bps[k]
                 w_next = bps[k + 2] - bps[k + 1]
                 yid = out.add_variable(f"{base}.y{k}", Kind.BINARY, 0.0, 1.0)
-                out.add_constraint({dids[k]: 1.0, yid: -w_k}, GE, 0.0, f"{base}.full{k}")
-                out.add_constraint({dids[k + 1]: 1.0, yid: -w_next}, LE, 0.0, f"{base}.next{k}")
+                out.add_constraint({dids[k]: 1.0, yid: -w_k}, GE, 0.0)
+                out.add_constraint({dids[k + 1]: 1.0, yid: -w_next}, LE, 0.0)
         if self._sealed:
             out.seal()
         return out
-
-    # -- evaluation ------------------------------------------------------
-
-    def evaluate_solution(self, values: Mapping[int, float]) -> tuple[float, float]:
-        """Return ``(objective, max_violation)`` for a full assignment.
-
-        The objective includes piecewise terms by linear interpolation; the
-        violation is the largest constraint, bound, or integrality residual.
-        Pure function: the model is not touched.
-        """
-        for v in self._vars:
-            if v.vid not in values:
-                raise ModelError(f"missing value for variable {v.name!r}")
-        obj = self.objective.value(values)
-        for term in self._pwl:
-            obj += term.evaluate(values[term.variable])
-        viol = 0.0
-        for v in self._vars:
-            x = values[v.vid]
-            viol = max(viol, v.lower - x, x - v.upper)
-            if v.is_integer:
-                viol = max(viol, abs(x - round(x)))
-        for con in self._cons:
-            viol = max(viol, self._row_residual(con, values))
-        return obj, max(viol, 0.0)
-
-    def constraint_residuals(self, values: Mapping[int, float]) -> dict[str, float]:
-        """Per-label constraint residuals (positive means violated)."""
-        return {con.label: self._row_residual(con, values) for con in self._cons}
-
-    @staticmethod
-    def _row_residual(con: Constraint, values: Mapping[int, float]) -> float:
-        lhs = sum(c * values[v] for v, c in con.expr.terms.items())
-        if con.sense == LE:
-            return lhs - con.rhs
-        if con.sense == GE:
-            return con.rhs - lhs
-        return abs(lhs - con.rhs)

@@ -118,9 +118,6 @@ class RtnNetwork:
     def products(self) -> tuple[Material, ...]:
         return tuple(m for m in self.materials if m.mclass == PRODUCT)
 
-    def feeds(self) -> tuple[Material, ...]:
-        return tuple(m for m in self.materials if m.mclass == FEED)
-
     def task_materials(self, task: str) -> tuple[str, ...]:
         seen = []
         for (t, r, _), v in self.nu.items():
@@ -289,10 +286,6 @@ class TunableParameters:
         return cls(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
     @classmethod
-    def ones(cls) -> "TunableParameters":
-        return cls(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
-
-    @classmethod
     def from_array(cls, rho: Sequence[float]) -> "TunableParameters":
         if len(rho) != 6:
             raise DomainError(f"expected 6 parameters, got {len(rho)}")
@@ -444,7 +437,7 @@ def _add_week_block(
                     expr[key] = expr.get(key, 0.0) - coef
             if (m.name, t) in pi_vid:
                 expr[pi_vid[m.name, t]] = -1.0
-            model.add_constraint(expr, EQ, 0.0, f"{prefix}bal[{m.name},{t}]")
+            model.add_constraint(expr, EQ, 0.0)
     for v in network.vessels:
         for t in range(1, H + 1):
             expr = {x_vid[v.name, t]: 1.0}
@@ -457,7 +450,7 @@ def _add_week_block(
                 if t - task.duration >= 1:
                     expr[n_vid[task.name, t - task.duration]] = -1.0
             rhs = 1.0 if t == 1 else 0.0  # vessels start available, materials empty
-            model.add_constraint(expr, EQ, rhs, f"{prefix}bal[{v.name},{t}]")
+            model.add_constraint(expr, EQ, rhs)
 
     # daily demand accounting: shipped + sl = D
     for m in network.products():
@@ -465,15 +458,13 @@ def _add_week_block(
             expr = {sl_vid[m.name, n]: 1.0}
             for t in range((n - 1) * hpd + 1, n * hpd + 1):
                 expr[pi_vid[m.name, t]] = -1.0
-            model.add_constraint(expr, EQ, demand.demand(m.name, n), f"{prefix}dem[{m.name},{n}]")
+            model.add_constraint(expr, EQ, demand.demand(m.name, n))
 
     # inventory within the designed storage size
     for m in network.materials:
         xmax = storage_vid[m.name]
         for t in range(1, H + 1):
-            model.add_constraint(
-                {x_vid[m.name, t]: 1.0, xmax: -1.0}, LE, 0.0, f"{prefix}xcap[{m.name},{t}]"
-            )
+            model.add_constraint({x_vid[m.name, t]: 1.0, xmax: -1.0}, LE, 0.0)
 
     # batch bounds, big-M linearized with the design cap
     for task in network.tasks:
@@ -484,15 +475,10 @@ def _add_week_block(
             if t + task.duration > H:
                 continue
             e, nn = e_vid[task.name, t], n_vid[task.name, t]
-            model.add_constraint({e: 1.0, nn: -v.cap}, LE, 0.0, f"{prefix}bcap[{task.name},{t}]")
-            model.add_constraint({e: 1.0, vmax: -1.0}, LE, 0.0, f"{prefix}bdes[{task.name},{t}]")
+            model.add_constraint({e: 1.0, nn: -v.cap}, LE, 0.0)
+            model.add_constraint({e: 1.0, vmax: -1.0}, LE, 0.0)
             if vmin > 0:
-                model.add_constraint(
-                    {e: 1.0, vmax: -vmin, nn: -vmin * v.cap},
-                    GE,
-                    -vmin * v.cap,
-                    f"{prefix}bmin[{task.name},{t}]",
-                )
+                model.add_constraint({e: 1.0, vmax: -vmin, nn: -vmin * v.cap}, GE, -vmin * v.cap)
 
     # operating costs
     for task in network.tasks:
@@ -631,23 +617,18 @@ def build_high_level(
                     expr[e_vid[task.name, n]] = -coef
             if (m.name, n) in pi_vid:
                 expr[pi_vid[m.name, n]] = -1.0
-            model.add_constraint(expr, EQ, 0.0, f"bal[{m.name},{n}]")
+            model.add_constraint(expr, EQ, 0.0)
 
     for m in network.products():
         for n in range(1, ND + 1):
             model.add_constraint(
-                {sl_vid[m.name, n]: 1.0, pi_vid[m.name, n]: -1.0},
-                EQ,
-                demand.demand(m.name, n),
-                f"dem[{m.name},{n}]",
+                {sl_vid[m.name, n]: 1.0, pi_vid[m.name, n]: -1.0}, EQ, demand.demand(m.name, n)
             )
 
     for m in network.materials:
         xmax = storage_vid[m.name]
         for n in range(1, ND + 1):
-            model.add_constraint(
-                {x_vid[m.name, n]: 1.0, xmax: -1.0}, LE, 0.0, f"xcap[{m.name},{n}]"
-            )
+            model.add_constraint({x_vid[m.name, n]: 1.0, xmax: -1.0}, LE, 0.0)
 
     # batch bounds: E <= Vmax * Nagg, linearized with the design cap big-M
     for task in network.tasks:
@@ -657,14 +638,11 @@ def build_high_level(
         K = kcap[task.name]
         for n in range(1, ND + 1):
             e, nn = e_vid[task.name, n], n_vid[task.name, n]
-            model.add_constraint({e: 1.0, nn: -v.cap}, LE, 0.0, f"bcap[{task.name},{n}]")
-            model.add_constraint({e: 1.0, vmax: -float(K)}, LE, 0.0, f"bdes[{task.name},{n}]")
+            model.add_constraint({e: 1.0, nn: -v.cap}, LE, 0.0)
+            model.add_constraint({e: 1.0, vmax: -float(K)}, LE, 0.0)
             if vmin > 0:
                 model.add_constraint(
-                    {e: 1.0, nn: -vmin * v.cap, vmax: -vmin * K},
-                    GE,
-                    -vmin * K * v.cap,
-                    f"bmin[{task.name},{n}]",
+                    {e: 1.0, nn: -vmin * v.cap, vmax: -vmin * K}, GE, -vmin * K * v.cap
                 )
 
     # a vessel offers hpd task-hours per day
@@ -673,7 +651,7 @@ def build_high_level(
             continue
         for n in range(1, ND + 1):
             expr = {n_vid[task.name, n]: float(task.duration) for task in network.hosted[v.name]}
-            model.add_constraint(expr, LE, float(hpd), f"vhours[{v.name},{n}]")
+            model.add_constraint(expr, LE, float(hpd))
 
     # parameterized operating costs
     for task in network.tasks:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hiertune.instances import generate_demand, generate_network
+from hiertune.model import GE, LE, ModelError
 from hiertune.rtn import DemandProfile, Material, RtnNetwork, ScenarioSet, Task, Vessel
 
 
@@ -44,3 +45,37 @@ def week_scenarios(seed, net, n_weeks, days=7, demand_scale=6.0):
         for k in range(n_weeks)
     ]
     return ScenarioSet.uniform(weeks)
+
+
+def row_residual(con, values):
+    """How far an assignment violates one row; positive means violated."""
+    lhs = sum(c * values[v] for v, c in con.expr.terms.items())
+    if con.sense == LE:
+        return lhs - con.rhs
+    if con.sense == GE:
+        return con.rhs - lhs
+    return abs(lhs - con.rhs)
+
+
+def evaluate_solution(model, values):
+    """``(objective, max_violation)`` of a full assignment, computed from the
+    model's data alone: the oracle that solver results are checked against.
+
+    The objective includes piecewise terms by linear interpolation; the
+    violation is the largest row, bound, or integrality residual.
+    """
+    for v in model.variables:
+        if v.vid not in values:
+            raise ModelError(f"missing value for variable {v.name!r}")
+    obj = model.objective.value(values)
+    for term in model.pwl_terms:
+        obj += term.evaluate(values[term.variable])
+    viol = 0.0
+    for v in model.variables:
+        x = values[v.vid]
+        viol = max(viol, v.lower - x, x - v.upper)
+        if v.is_integer:
+            viol = max(viol, abs(x - round(x)))
+    for con in model.constraints:
+        viol = max(viol, row_residual(con, values))
+    return obj, max(viol, 0.0)

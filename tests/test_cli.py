@@ -217,7 +217,9 @@ def test_transfer_bad_range_length_exits_2(tmp_path, instance, value):
 @pytest.mark.parametrize(
     "flag, value",
     [("--demand-scale", "nan"), ("--demand-scale", "inf"), ("--hours-per-day", "0"),
-     ("--days", "0"), ("--tasks", "0"), ("--seed", "-1")],
+     ("--days", "0"), ("--tasks", "0"), ("--seed", "-1"),
+     # longer than the default 24 h day: every solve would reject the file
+     ("--max-duration", "25")],
 )
 def test_gen_bad_value_exits_2_and_writes_no_instance(tmp_path, flag, value):
     out = tmp_path / "inst.json"
@@ -249,6 +251,31 @@ def test_malformed_value_exits_2(tmp_path, instance, config, flags):
     )
     assert code == 2
     assert json.loads((out / "error.json").read_text())["error"] == "config"
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "mode, content",
+    [("transfer", {"best_rho": [1, 0, 0, 0, 0]}), ("transfer", {"best_rho": 5}),
+     ("transfer", {"best_rho": [[1]]}), ("transfer", {"best_rho": None}),
+     ("report", [1, 2]), ("tune", ["budget"]), ("tune", {"initial_rho": 5})],
+    ids=["best-rho-short", "best-rho-number", "best-rho-nested", "best-rho-null",
+         "report-array", "config-array", "config-initial-rho-number"],
+)
+def test_malformed_json_input_exits_2(tmp_path, instance, mode, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    out = tmp_path / "out"
+    argv = {
+        "transfer": ["transfer", "--instance", instance, "--aggregation", "approach1",
+                     "--from", path, "--budget", 2, "--out", out] + FAST,
+        "report": ["report", path, "--out", out / "report.csv"],
+        "tune": ["tune", "--instance", instance, "--aggregation", "approach1", "--budget", 2,
+                 "--config", path, "--out", out] + FAST,
+    }[mode]
+    assert run(argv) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["error"] == "config" and record["mode"] == mode
     assert not (out / "summary.json").exists()
 
 

@@ -43,8 +43,6 @@ def test_shrink_around_clips_at_corners():
 def test_config_validation():
     with pytest.raises(DomainError):
         DfoConfig(budget=0)
-    with pytest.raises(DomainError):
-        DfoConfig(swarm_size=1)
 
 
 def test_pattern_search_sphere_converges():
@@ -83,7 +81,7 @@ def test_pso_sphere_converges():
 
 
 def test_pso_tiny_budget_exact():
-    cfg = DfoConfig(algorithm="pso", budget=2, seed=4, swarm_size=2)
+    cfg = DfoConfig(algorithm="pso", budget=2, seed=4)
     res = run_dfo(sphere([0.0, 0.0]), BOX2, cfg)
     assert res.n_evals == 2
     assert len(res.log) == 2
@@ -100,7 +98,7 @@ def test_repeated_point_evaluated_once_and_not_charged():
         return -(x[0] + x[1])
 
     unit = BoxDomain((0.0, 0.0), (1.0, 1.0))
-    cfg = DfoConfig(algorithm="pso", budget=200, seed=1, swarm_size=4)
+    cfg = DfoConfig(algorithm="pso", budget=200, seed=1)
     res = run_dfo(f, unit, cfg)
     assert len(set(calls)) == len(calls) == res.n_evals < 200
     assert [x for x, _ in res.log] == calls

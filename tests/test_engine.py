@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import threading
@@ -12,7 +13,6 @@ from hiertune.engine import (
     TwoLevelProblem,
     emit_trace,
     evaluate,
-    read_trace,
     transfer_tune,
     tune,
 )
@@ -20,7 +20,7 @@ from hiertune.milp import solve_model
 from hiertune.model import GE, LE, Kind, ModelInstance, SolveOptions
 from hiertune.rtn import RtnDesign, ScenarioSet, TunableParameters, make_two_level_problem
 
-from conftest import tiny_case
+from conftest import evaluate_solution, tiny_case
 
 FAST = SolveOptions(mip_gap=1e-6, time_limit=30)
 
@@ -34,10 +34,10 @@ def toy_problem(infeasible_below=None, maximize=False, target=3.0):
         x = m.add_variable("x", Kind.CONTINUOUS, 0, 10)
         t = m.add_variable("t", Kind.CONTINUOUS, 0, 20)
         m.add_objective_term(t, 1.0)
-        m.add_constraint({t: 1.0, x: -1.0}, GE, -rho[0], "above")
-        m.add_constraint({t: 1.0, x: 1.0}, GE, rho[0], "below")
+        m.add_constraint({t: 1.0, x: -1.0}, GE, -rho[0])
+        m.add_constraint({t: 1.0, x: 1.0}, GE, rho[0])
         if infeasible_below is not None and rho[0] < infeasible_below:
-            m.add_constraint({x: 1.0}, GE, 11.0, "impossible")
+            m.add_constraint({x: 1.0}, GE, 11.0)
         return m.seal()
 
     def extract(model, solution):
@@ -90,7 +90,7 @@ def test_sentinel_on_infeasible_low_level():
     def bad_lows(xstar):
         m = ModelInstance("bad-low", "minimize")
         u = m.add_variable("u", Kind.CONTINUOUS, 0, 1)
-        m.add_constraint({u: 1.0}, GE, 2.0, "impossible")
+        m.add_constraint({u: 1.0}, GE, 2.0)
         return [(1.0, m.seal())]
 
     prob = dataclasses.replace(prob, build_lows=bad_lows)
@@ -127,7 +127,7 @@ def test_tune_finds_toy_optimum_and_caches():
 def test_tune_stops_when_the_swarm_collapses_on_a_corner():
     # the score falls toward rho's upper bound, so the swarm piles onto 10.0
     # and soon requests only cached points, which spend no budget
-    cfg = DfoConfig(algorithm="pso", budget=200, seed=1, swarm_size=4)
+    cfg = DfoConfig(algorithm="pso", budget=200, seed=1)
     outcome = {}
 
     def run():
@@ -154,7 +154,7 @@ def test_sentinel_dominance():
 
 
 def test_parallel_evaluation_equivalence():
-    cfg = DfoConfig(algorithm="pso", budget=30, seed=3, swarm_size=6)
+    cfg = DfoConfig(algorithm="pso", budget=30, seed=3)
     t1 = tune(toy_problem(), cfg, initial_rho=[5.0], threads=1)
     t4 = tune(toy_problem(), cfg, initial_rho=[5.0], threads=4)
     assert [(r.rho, r.objective) for r in t1.results] == [
@@ -197,7 +197,7 @@ def test_trace_emit_round_trip(tmp_path):
     trace = tune(toy_problem(), DfoConfig(budget=9, seed=8), initial_rho=[1.0])
     path = tmp_path / "trace.csv"
     emit_trace(trace, path)
-    rows = read_trace(path)
+    rows = list(csv.DictReader(open(path)))
     assert len(rows) == len(trace.results)
     assert [float(r["rho_1"]) for r in rows] == [r.rho[0] for r in trace.results]
     best_col = [float(r["best_so_far"]) for r in rows]
@@ -215,13 +215,13 @@ def test_trace_clock_within_tune_wall_time(tmp_path):
         return base.build_high(rho)
 
     prob = dataclasses.replace(base, build_high=slow_high)
-    cfg = DfoConfig(algorithm="pso", budget=12, seed=2, swarm_size=6)
+    cfg = DfoConfig(algorithm="pso", budget=12, seed=2)
     t0 = time.perf_counter()
     trace = tune(prob, cfg, initial_rho=[5.0], threads=2)
     wall = time.perf_counter() - t0
     path = tmp_path / "trace.csv"
     emit_trace(trace, path)
-    clock = [float(r["cumulative_wall_time"]) for r in read_trace(path)]
+    clock = [float(r["cumulative_wall_time"]) for r in csv.DictReader(open(path))]
     assert clock == sorted(clock)
     assert clock[-1] <= wall
 
@@ -237,7 +237,7 @@ def test_rtn_problem_objective_audit():
     assert res.feasible
     total = 0.0
     for (weight, model), rep in zip(prob.build_lows(res.decision), res.low_reports):
-        obj, viol = model.evaluate_solution(rep.incumbent.values)
+        obj, viol = evaluate_solution(model, rep.incumbent.values)
         assert viol <= 1e-6
         assert obj == pytest.approx(rep.incumbent.objective, abs=1e-6)
         total += weight * obj
@@ -283,7 +283,7 @@ def stepped_problem(fail_on=None, delay=0.0):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_design_cache_solves_each_decision_once(threads):
     prob, calls = stepped_problem()
-    cfg = DfoConfig(algorithm="pso", budget=30, seed=3, swarm_size=6)
+    cfg = DfoConfig(algorithm="pso", budget=30, seed=3)
     trace = tune(prob, cfg, initial_rho=[5.5], threads=threads)
     decisions = [r.decision for r in trace.results]
     assert len(set(decisions)) < len(decisions)
@@ -303,7 +303,7 @@ def test_design_cache_same_at_one_and_two_threads():
     prob = make_two_level_problem(
         net, ScenarioSet.uniform([dem]), "single", hpd, 3, high_options=FAST, low_options=FAST
     )
-    cfg = DfoConfig(algorithm="pso", budget=16, seed=5, swarm_size=4)
+    cfg = DfoConfig(algorithm="pso", budget=16, seed=5)
     start = TunableParameters.baseline().to_array()
 
     def rows(threads):
@@ -320,7 +320,7 @@ def test_design_cache_error_reaches_every_waiting_evaluation():
     # so the second thread waits on it while the first is still building
     prob, calls = stepped_problem(fail_on=0, delay=0.2)
     prob = dataclasses.replace(prob, extract=lambda model, solution: 0)
-    cfg = DfoConfig(algorithm="pso", budget=12, seed=2, swarm_size=6)
+    cfg = DfoConfig(algorithm="pso", budget=12, seed=2)
     outcome = {}
 
     def run():

@@ -26,7 +26,8 @@ def test_generator_produces_valid_networks():
     for seed in range(8):
         net = generate_network(seed, n_tasks=3, n_vessels=2)
         assert len(net.tasks) == 3
-        assert len(net.products()) == 1 and len(net.feeds()) == 1
+        assert len(net.products()) == 1
+        assert [m.mclass for m in net.materials].count("feed") == 1
         assert net.penalty >= 1.0
         dem = generate_demand(seed, net, days=7)
         dem.validate(net)
@@ -58,7 +59,7 @@ def test_round_trip(tmp_path):
 def _signature(model):
     """Variables, rows and objective of the lowered model, in order."""
     low = model.lowered()
-    rows = [(c.label, list(c.expr.terms.items()), c.expr.constant, c.sense, c.rhs)
+    rows = [(c.cid, list(c.expr.terms.items()), c.expr.constant, c.sense, c.rhs)
             for c in low.constraints]
     return low.variables, rows, list(low.objective.terms.items()), low.objective.constant
 
@@ -113,6 +114,12 @@ def test_loader_reports_first_violation_path(tmp_path):
     del payload["tasks"][0]["duration"]
     path.write_text(json.dumps(payload))
     with pytest.raises(InstanceError, match=r"\$\.tasks\[0\]\.duration"):
+        load_instance(path)
+
+    path, payload = _payload(tmp_path)
+    payload["tasks"][0]["duration"] = 5  # longer than the file's 4 h day
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InstanceError, match=r"\$\.tasks\[0\]\.duration: .*hours_per_day"):
         load_instance(path)
 
     path, payload = _payload(tmp_path)

@@ -15,6 +15,8 @@ from hiertune.model import (
     SolveOptions,
 )
 
+from conftest import evaluate_solution
+
 
 def small_model():
     m = ModelInstance("small")
@@ -22,7 +24,7 @@ def small_model():
     y = m.add_variable("y", Kind.BINARY, 0, 1)
     m.add_objective_term(x, 2.0)
     m.add_objective_term(y, -1.0)
-    m.add_constraint({x: 1.0, y: 3.0}, LE, 5.0, "cap")
+    m.add_constraint({x: 1.0, y: 3.0}, LE, 5.0)
     return m, x, y
 
 
@@ -46,23 +48,21 @@ def test_add_constraint_basics():
     m = ModelInstance()
     x = m.add_variable("x", Kind.BINARY, 0, 1)
     y = m.add_variable("y", Kind.BINARY, 0, 1)
-    m.add_constraint({x: 1.0, y: 1.0}, LE, 1.0, "pick")
+    pick = m.add_constraint({x: 1.0, y: 1.0}, LE, 1.0)
     assert m.n_constraints == 1
-    assert m.constraint("pick").rhs == 1.0
+    assert m.constraints[0] is pick and pick.cid == 0 and pick.rhs == 1.0
     with pytest.raises(ModelError):
-        m.add_constraint({99: 1.0}, LE, 1.0, "ghost")
-    with pytest.raises(ModelError):
-        m.add_constraint({x: 1.0}, LE, 0.0, "pick")
+        m.add_constraint({99: 1.0}, LE, 1.0)
     # vacuous 0 <= 0 row is accepted
-    m.add_constraint({}, LE, 0.0, "vacuous")
-    assert m.constraint("vacuous").sense == LE
+    vacuous = m.add_constraint({}, LE, 0.0)
+    assert vacuous.cid == 1 and vacuous.sense == LE
 
 
 def test_constant_folded_into_rhs():
     m = ModelInstance()
     x = m.add_variable("x", Kind.CONTINUOUS, 0, 10)
-    m.add_constraint(LinExpr({x: 1.0}, constant=2.0), LE, 5.0, "c")
-    assert m.constraint("c").rhs == 3.0
+    con = m.add_constraint(LinExpr({x: 1.0}, constant=2.0), LE, 5.0)
+    assert con.rhs == 3.0 and con.expr.constant == 0.0
 
 
 def test_sealing_blocks_mutation():
@@ -134,28 +134,28 @@ def test_pwl_power_cost_errors():
 def test_evaluate_solution_basics():
     m = ModelInstance()
     m.add_objective_constant(5.0)
-    obj, viol = m.evaluate_solution({})
+    obj, viol = evaluate_solution(m, {})
     assert (obj, viol) == (5.0, 0.0)
 
     m2, x, y = small_model()
-    m2.add_constraint({x: 1.0}, LE, 1.0, "tight")
-    obj, viol = m2.evaluate_solution({x: 2.0, y: 0.0})
+    m2.add_constraint({x: 1.0}, LE, 1.0)
+    obj, viol = evaluate_solution(m2, {x: 2.0, y: 0.0})
     assert viol == pytest.approx(1.0)
     with pytest.raises(ModelError):
-        m2.evaluate_solution({x: 0.0})
+        evaluate_solution(m2, {x: 0.0})
 
 
 def test_evaluate_solution_is_pure():
     m, x, y = small_model()
 
     def snapshot():
-        rows = [(c.label, dict(c.expr.terms), c.sense, c.rhs) for c in m.constraints]
+        rows = [(c.cid, dict(c.expr.terms), c.sense, c.rhs) for c in m.constraints]
         return m.variables, rows, dict(m.objective.terms), m.objective.constant
 
     before = snapshot()
     vals = {x: 1.0, y: 1.0}
-    r1 = m.evaluate_solution(vals)
-    r2 = m.evaluate_solution(vals)
+    r1 = evaluate_solution(m, vals)
+    r2 = evaluate_solution(m, vals)
     assert r1 == r2
     assert snapshot() == before
 

@@ -30,9 +30,10 @@ from hiertune.rtn import (
     nu_overall,
 )
 
-from conftest import tiny_case
+from conftest import evaluate_solution, row_residual, tiny_case
 
 OPTS = SolveOptions(mip_gap=1e-6, time_limit=120)
+ONES = TunableParameters(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 def caps_design(net, frac=1.0):
@@ -351,11 +352,11 @@ def test_decompose_two_weeks_matches_monolithic():
 
 
 def test_high_level_rho_identity_structure(chain2, chain2_demand):
-    ones = build_high_level(chain2, chain2_demand, TunableParameters.ones(), 4, 3)
+    ones = build_high_level(chain2, chain2_demand, ONES, 4, 3)
+    # each term's values are its prefactor times size**0.6
     plain_cost = {}
-    for m in [ones]:
-        for term in m.pwl_terms:
-            plain_cost[m.var(term.variable).name] = term.prefactor
+    for term in ones.pwl_terms:
+        plain_cost[ones.var(term.variable).name] = term.values[-1] / term.breakpoints[-1] ** 0.6
     assert plain_cost["Vmax[V0]"] == pytest.approx(1.0)  # unit cost * rho 1
     assert plain_cost["Xmax[P]"] == pytest.approx(0.5)
 
@@ -400,7 +401,7 @@ def test_high_level_nagg_cap_cuts_no_optimum():
     # brute-force the aggregated model with the per-day start caps against a
     # rebuild whose caps are inflated: same optimum on tiny instances
     net, dem, hpd = tiny_case(34, n_tasks=1, days=2, hpd=3, max_duration=1)
-    rho = TunableParameters.ones()
+    rho = ONES
     capped = build_high_level(net, dem, rho, hpd, 2).lowered()
     want = brute_force_milp(capped)
 
@@ -419,7 +420,7 @@ def test_high_level_nagg_cap_cuts_no_optimum():
 
 
 def test_extract_design(chain2, chain2_demand):
-    model = build_high_level(chain2, chain2_demand, TunableParameters.ones(), 4, 3)
+    model = build_high_level(chain2, chain2_demand, ONES, 4, 3)
     rep = solve_model(model, OPTS)
     design = extract_design(model, rep.incumbent, chain2)
     assert set(design.vessel_size) == {"V0", "V1"}
@@ -459,7 +460,7 @@ def test_extract_design_ignores_unpriced_vertex(chain2, chain2_demand, rho):
     values = dict(rep.incumbent.values)
     for vid, (kind, name) in sizes.items():
         values[vid] = (design.vessel_size if kind == "v" else design.storage_size)[name]
-    obj, viol = model.evaluate_solution(values)
+    obj, viol = evaluate_solution(model, values)
     assert viol <= 1e-6
     assert obj <= rep.incumbent.objective + 1e-9
 
@@ -670,18 +671,17 @@ def test_random_schedules_feasible_and_aggregate_soundly():
     for seed in (51, 52):
         net, dem, hpd = tiny_case(seed, days=2, hpd=4, max_duration=2)
         full = build_full_space(net, dem, hpd, 3)
-        high = build_high_level(net, dem, TunableParameters.ones(), hpd, 3)
+        high = build_high_level(net, dem, ONES, hpd, 3)
         design = caps_design(net, 0.7)
         reset = {dem.days}
         for _ in range(20):
             vals = random_feasible_schedule(net, dem, design, rng, hpd)
             fids = {full.variable_id(k): v for k, v in vals.items()}
-            fobj, fviol = full.evaluate_solution(fids)
+            fobj, fviol = evaluate_solution(full, fids)
             assert fviol <= 1e-9
             agg = aggregate_schedule(net, dem, vals, hpd)
             hids = {high.variable_id(k): v for k, v in agg.items()}
-            res = high.constraint_residuals(hids)
-            assert max(res.values()) <= 1e-9
+            assert max(row_residual(con, hids) for con in high.constraints) <= 1e-9
             for v in high.variables:
                 if any(v.name == f"Xagg[{m.name},{d}]" for m in net.materials for d in reset):
                     continue  # end-of-block inventory reset may be violated
