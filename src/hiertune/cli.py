@@ -6,17 +6,18 @@ Each subcommand takes only the settings it reads; all take ``--config`` and
 * ``gen``: ``--tasks --vessels --weeks --days --hours-per-day --demand-scale
   --max-duration``; ``--out`` names the instance file.
 * ``solve-full``: ``--instance --time-limit --mip-gap --breakpoints``.
-* ``baseline``: those of ``solve-full``, ``--aggregation --initial-rho``.
+* ``baseline``: those of ``solve-full``, ``--aggregation`` (``approach1``, or
+  ``approach2`` by default), ``--initial-rho``.
 * ``tune``: those of ``baseline``, ``--final-mip-gap --threads --dfo --budget``.
 * ``transfer``: those of ``tune`` but ``--initial-rho``, ``--from --range-length``.
 * ``oracle-check``: ``--time-limit --mip-gap``.
 * ``report``: run-summary paths; ``--out`` names the CSV file.
 
 Settings come from defaults, an optional ``--config`` JSON file, and flags
-(in that precedence); one config file may hold the settings of several
-subcommands.  Each artifact embeds the hash of the effective config plus all
-seeds.  Exit codes: 0 success, 2 config error, 3 solve failure, 4 oracle
-mismatch.
+(in that precedence); ``_SETTINGS`` declares each one.  One config file may
+hold the settings of several subcommands.  Each artifact embeds the hash of
+the effective config plus all seeds.  Exit codes: 0 success, 2 config error,
+3 solve failure, 4 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Any, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .dfo import DfoConfig, DomainError
+from .dfo import ALGORITHMS, DfoConfig, DomainError
 from .engine import emit_trace, evaluate, transfer_tune, tune
 from .instances import (
     InstanceError,
@@ -55,47 +57,48 @@ from .rtn import (
 
 _FAILURE_STATUSES = (Status.NUMERICAL_FAILURE, Status.NO_INCUMBENT)
 
-_DEFAULTS = {
-    "aggregation": "single",
-    "dfo": "pattern",
-    "budget": 150,
-    "seed": 0,
-    "threads": os.cpu_count() or 1,
-    "time_limit": 60.0,
-    "mip_gap": 1e-4,
-    "final_mip_gap": 1e-6,
-    "breakpoints": 8,
-    "initial_rho": "1,0,0,0,0,0",
-    "range_length": 0.1,
-    # gen defaults
-    "tasks": 2,
-    "vessels": None,
-    "weeks": 1,
-    "days": 7,
-    "hours_per_day": 24,
-    "demand_scale": 10.0,
-    "max_duration": 2,
+
+class _Setting(NamedTuple):
+    default: Any
+    kind: type = float
+    low: float = -math.inf
+    high: float = math.inf
+    choices: tuple[str, ...] | None = None
+
+
+#: Every setting a subcommand may read: its default, its type, its closed
+#: range and, for a string, the choices its flag takes.  Every numeric value
+#: must be finite; one whose default is None may also be null.  Ranges are
+#: given only where nothing else rejects a value with a message: the ``gen``
+#: settings the loader would reject in the written file, and the seed, which
+#: numpy's generators take only non-negative.
+_SETTINGS = {
+    "aggregation": _Setting("approach2", str, choices=AGGREGATIONS),
+    "dfo": _Setting("pattern", str, choices=tuple(ALGORITHMS)),
+    "budget": _Setting(150, int),
+    "seed": _Setting(0, int, low=0),
+    "threads": _Setting(os.cpu_count() or 1, int),
+    "time_limit": _Setting(60.0),
+    "mip_gap": _Setting(1e-4),
+    "final_mip_gap": _Setting(1e-6),
+    "breakpoints": _Setting(8, int),
+    "initial_rho": _Setting(",".join(f"{x:g}" for x in TunableParameters().to_array()), str),
+    "range_length": _Setting(0.1),
+    # gen settings
+    "tasks": _Setting(2, int),
+    "vessels": _Setting(None, int),
+    "weeks": _Setting(1, int),
+    "days": _Setting(7, int, low=1),
+    "hours_per_day": _Setting(24, int, 1, 24),
+    "demand_scale": _Setting(10.0, low=0),
+    "max_duration": _Setting(2, int, low=1),
 }
 
-
-#: The type of each numeric setting.  Every numeric value must be finite; one
-#: whose default is None may also be null.
-_NUMERIC = {
-    **dict.fromkeys(("budget", "seed", "threads", "breakpoints", "tasks", "vessels", "weeks",
-                     "days", "hours_per_day", "max_duration"), int),
-    **dict.fromkeys(("time_limit", "mip_gap", "final_mip_gap", "range_length", "demand_scale"),
-                    float),
-}
-
-#: Closed ranges for settings that nothing else rejects with a message: the
-#: ``gen`` settings the loader would reject in the written file, and the seed,
-#: which numpy's generators take only non-negative.
-_RANGES = {
-    "seed": (0, math.inf),
-    "days": (1, math.inf),
-    "hours_per_day": (1, 24),
-    "demand_scale": (0, math.inf),
-    "max_duration": (1, math.inf),
+#: Flags that name files rather than settings; ``transfer`` adds ``--from``.
+_PATH_FLAGS = {
+    "config": "JSON config file; flags override its fields",
+    "instance": "instance JSON path",
+    "out": "output directory (or file for gen/report)",
 }
 
 
@@ -103,13 +106,13 @@ class CliError(ValueError):
     pass
 
 
-def _number(key: str, raw):
-    """``raw`` read as setting ``key``: converted, finite and in range, else CliError.
+def _number(key: str, raw, setting: _Setting = _Setting(None)):
+    """``raw`` read as ``key``: converted to the setting's type, finite and in
+    its range, else CliError.  The default setting is any finite float.
 
     A bool is not a number, and an integer setting takes no fractional value.
     """
-    kind = _NUMERIC.get(key, float)
-    low, high = _RANGES.get(key, (-math.inf, math.inf))
+    kind, low, high = setting.kind, setting.low, setting.high
     try:
         if isinstance(raw, bool) or (kind is int and isinstance(raw, float) and not raw.is_integer()):
             raise TypeError
@@ -149,17 +152,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
     """The subcommand's settings: each flag it declares, read from the flag,
     else from the ``--config`` file, else from the defaults; numbers converted."""
     flags = {k: v for k, v in vars(args).items() if k not in ("config", "func")}
-    cfg = {key: _DEFAULTS.get(key) for key in flags}
+    cfg = {key: _SETTINGS[key].default if key in _SETTINGS else None for key in flags}
     if args.config:
         loaded = _read_object(args.config, "config")
-        unknown = set(loaded) - set(_DEFAULTS) - {"instance", "mode", "out", "source"}
+        unknown = set(loaded) - set(_SETTINGS) - {"instance", "mode", "out", "source"}
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         cfg.update((key, value) for key, value in loaded.items() if key in flags)
     cfg.update((key, value) for key, value in flags.items() if value is not None)
-    for key in cfg.keys() & _NUMERIC.keys():
-        if cfg[key] is not None or _DEFAULTS[key] is not None:
-            cfg[key] = _number(key, cfg[key])
+    # in declared order, so that of several bad values the same one is reported
+    for key, setting in _SETTINGS.items():
+        if key not in cfg or setting.kind is str:
+            continue
+        if cfg[key] is not None or setting.default is not None:
+            cfg[key] = _number(key, cfg[key], setting)
     return cfg
 
 
@@ -172,6 +178,14 @@ def _out_dir(cfg: dict, mode: str) -> Path:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _emit(cfg: dict, mode: str, filename: str, payload: dict) -> None:
+    """Write ``payload`` under the run header (mode, config hash, seed) to
+    ``filename`` in the run's output directory, and echo it on stdout."""
+    payload = {"mode": mode, "config_hash": _config_hash(cfg), "seed": cfg["seed"], **payload}
+    _write_json(_out_dir(cfg, mode) / filename, payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _error_record(cfg: dict, mode: str, kind: str, message: str) -> None:
@@ -198,17 +212,14 @@ def _load(cfg: dict):
     return load_instance(cfg["instance"])
 
 
-def _summary_payload(cfg: dict, mode: str, trace, wall: float) -> dict:
+def _summary_payload(cfg: dict, trace, wall: float) -> dict:
     best = trace.best
     final = trace.final
     return {
-        "mode": mode,
-        "config_hash": _config_hash(cfg),
         "instance": cfg.get("instance"),
         "aggregation": cfg["aggregation"],
         "dfo": trace.dfo_name,
         "budget": trace.budget,
-        "seed": trace.seed,
         "threads": cfg["threads"],
         "evaluations": len(trace.results),
         "design_cache_hits": sum(r.design_hit for r in trace.results),
@@ -275,11 +286,7 @@ def _cmd_solve_full(cfg: dict) -> int:
     t0 = time.perf_counter()
     report = solve_model(model, _options(cfg))
     wall = time.perf_counter() - t0
-    out = _out_dir(cfg, "solve-full")
-    payload = {
-        "mode": "solve-full",
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
+    _emit(cfg, "solve-full", "solve_report.json", {
         "instance": cfg["instance"],
         "status": report.status.value,
         "objective": None if report.incumbent is None else report.incumbent.objective,
@@ -292,9 +299,7 @@ def _cmd_solve_full(cfg: dict) -> int:
         "variables": model.n_variables,
         "constraints": model.n_constraints,
         "binaries": sum(1 for v in model.variables if v.kind is Kind.BINARY),
-    }
-    _write_json(out / "solve_report.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    })
     if report.status in _FAILURE_STATUSES:
         return 3
     return 0
@@ -306,11 +311,7 @@ def _cmd_baseline(cfg: dict) -> int:
     t0 = time.perf_counter()
     result = evaluate(problem, _rho("initial_rho", cfg["initial_rho"]))
     wall = time.perf_counter() - t0
-    out = _out_dir(cfg, "baseline")
-    payload = {
-        "mode": "baseline",
-        "config_hash": _config_hash(cfg),
-        "seed": cfg["seed"],
+    _emit(cfg, "baseline", "summary.json", {
         "instance": cfg["instance"],
         "aggregation": cfg["aggregation"],
         "rho": list(result.rho),
@@ -318,9 +319,7 @@ def _cmd_baseline(cfg: dict) -> int:
         "profit": -result.objective,
         "feasible": result.feasible,
         "wall_time": wall,
-    }
-    _write_json(out / "summary.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    })
     return 0
 
 
@@ -332,11 +331,8 @@ def _cmd_tune(cfg: dict) -> int:
     trace = tune(problem, config, initial_rho=_rho("initial_rho", cfg["initial_rho"]),
                  threads=cfg["threads"])
     wall = time.perf_counter() - t0
-    out = _out_dir(cfg, "tune")
-    emit_trace(trace, out / "trace.csv")
-    payload = _summary_payload(cfg, "tune", trace, wall)
-    _write_json(out / "summary.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    emit_trace(trace, _out_dir(cfg, "tune") / "trace.csv")
+    _emit(cfg, "tune", "summary.json", _summary_payload(cfg, trace, wall))
     return 0
 
 
@@ -357,17 +353,15 @@ def _cmd_transfer(cfg: dict) -> int:
         threads=cfg["threads"],
     )
     wall = time.perf_counter() - t0
-    out = _out_dir(cfg, "transfer")
-    emit_trace(trace, out / "trace.csv")
-    payload = _summary_payload(cfg, "transfer", trace, wall)
+    emit_trace(trace, _out_dir(cfg, "transfer") / "trace.csv")
+    payload = _summary_payload(cfg, trace, wall)
     payload["transfer_source"] = cfg["source"]
     payload["range_length"] = cfg["range_length"]
     payload["restriction_vacuous"] = trace.restricted_box is not None and (
         trace.restricted_box.lower == problem.bounds.lower
         and trace.restricted_box.upper == problem.bounds.upper
     )
-    _write_json(out / "summary.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(cfg, "transfer", "summary.json", payload)
     return 0
 
 
@@ -411,16 +405,7 @@ def _cmd_oracle_check(cfg: dict) -> int:
                 "ok": ok,
             }
         )
-    out = _out_dir(cfg, "oracle-check")
-    payload = {
-        "mode": "oracle-check",
-        "config_hash": _config_hash(cfg),
-        "seed": seed,
-        "verdict": verdict,
-        "checks": rows,
-    }
-    _write_json(out / "oracle_report.json", payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(cfg, "oracle-check", "oracle_report.json", {"verdict": verdict, "checks": rows})
     return 0 if verdict == "match" else 4
 
 
@@ -431,12 +416,15 @@ def _cmd_report(cfg: dict) -> int:
     rows = []
     for path in paths:
         data = _read_object(path, "summary")
+        rho = data.get("best_rho", data.get("rho"))
+        if isinstance(rho, list):
+            rho = [_number(f"{path}: best_rho", v) for v in rho]
         rows.append(
             {
                 "run": path,
                 "mode": data.get("mode", "?"),
                 "best_objective": data.get("best_objective", data.get("objective")),
-                "best_rho": data.get("best_rho", data.get("rho")),
+                "best_rho": rho,
                 "evaluations": data.get("evaluations", 1),
                 "wall_time": data.get("wall_time"),
             }
@@ -472,24 +460,20 @@ def _fmt(value, csv: bool = False) -> str:
 # argument parsing
 
 
-_FLAG_OPTIONS = {
-    "config": {"help": "JSON config file; flags override its fields"},
-    "instance": {"help": "instance JSON path"},
-    "out": {"help": "output directory (or file for gen/report)"},
-    "aggregation": {"choices": AGGREGATIONS},
-    "dfo": {"choices": ("pattern", "pso", "random")},
-}
-
 _SOLVE_FLAGS = ("config", "instance", "seed", "out", "time_limit", "mip_gap", "breakpoints")
 _TWO_LEVEL_FLAGS = _SOLVE_FLAGS + ("aggregation",)
 _SEARCH_FLAGS = _TWO_LEVEL_FLAGS + ("final_mip_gap", "threads", "dfo", "budget")
 
 
 def _add_flags(p: argparse.ArgumentParser, names) -> None:
-    """Declare ``--name-with-dashes`` for each setting; values stay strings until
-    ``_merge_config`` converts them."""
+    """Declare ``--name-with-dashes`` for each setting or path flag; values stay
+    strings until ``_merge_config`` converts them."""
     for name in names:
-        p.add_argument("--" + name.replace("_", "-"), dest=name, **_FLAG_OPTIONS.get(name, {}))
+        flag = "--" + name.replace("_", "-")
+        if name in _PATH_FLAGS:
+            p.add_argument(flag, dest=name, help=_PATH_FLAGS[name])
+        else:
+            p.add_argument(flag, dest=name, choices=_SETTINGS[name].choices)
 
 
 def build_parser() -> argparse.ArgumentParser:

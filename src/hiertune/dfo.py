@@ -70,7 +70,8 @@ class BoxDomain:
 
     def require(self, x: Sequence[float], tol: float = 1e-9) -> None:
         if not self.contains(x, tol):
-            raise DomainError(f"point {list(x)} outside box {self.lower}..{self.upper}")
+            point = [float(v) for v in x]
+            raise DomainError(f"point {point} outside box {self.lower}..{self.upper}")
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.up)

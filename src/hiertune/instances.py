@@ -3,15 +3,15 @@
 The generator builds seeded feed -> intermediates -> product chains with
 randomized durations, yields, costs, and caps, structurally matching the
 model builders in :mod:`hiertune.rtn`.  Instance files are JSON objects with
-the fields ``format``, ``hours_per_day``, ``penalty``, ``tasks`` (name,
-vessel, duration, min batch fraction, startup cost), ``materials`` (name,
-class, price, storage cost and cap), ``vessels`` (name, unit cost, cap), the
-material table ``nu``, the weekly demand profiles ``weeks`` and their
-``week_weights``.  Vessel occupancy is derived from each task's vessel and
-duration, so files carry no occupancy table; a ``mu`` field written by
-earlier versions is ignored.  The loader validates every network invariant
-and reports the first violation with its JSON path; that includes a task
-longer than ``hours_per_day``, which no model builder accepts.
+the fields ``format``, ``hours_per_day``, ``penalty``, the record arrays
+``tasks``, ``materials`` and ``vessels`` (one object per record, with the
+fields that ``_RECORDS`` declares), the material table ``nu``, the weekly
+demand profiles ``weeks`` and their ``week_weights``.  Vessel occupancy is
+derived from each task's vessel and duration, so files carry no occupancy
+table; a ``mu`` field written by earlier versions is ignored.  The loader
+validates every network invariant and reports the first violation with its
+JSON path; that includes a task longer than ``hours_per_day``, which no
+model builder accepts.
 """
 
 from __future__ import annotations
@@ -134,29 +134,11 @@ def generate_demand(
 def _network_payload(network: RtnNetwork) -> dict[str, Any]:
     return {
         "penalty": network.penalty,
-        "tasks": [
-            {
-                "name": t.name,
-                "vessel": t.vessel,
-                "duration": t.duration,
-                "min_batch_fraction": t.min_batch_fraction,
-                "startup_cost": t.startup_cost,
-            }
-            for t in network.tasks
-        ],
-        "materials": [
-            {
-                "name": m.name,
-                "class": m.mclass,
-                "price": m.price,
-                "storage_cost": m.storage_cost,
-                "storage_cap": m.storage_cap,
-            }
-            for m in network.materials
-        ],
-        "vessels": [
-            {"name": v.name, "unit_cost": v.unit_cost, "cap": v.cap} for v in network.vessels
-        ],
+        **{
+            key: [{field: getattr(r, attr) for field, attr, _, _ in fields}
+                  for r in getattr(network, key)]
+            for key, (_, fields) in _RECORDS.items()
+        },
         "nu": _table_payload(network.nu),
     }
 
@@ -233,6 +215,41 @@ def _rows(obj: dict, key: str, path: str):
         yield p, _object(row, p)
 
 
+#: Each record array of an instance file: the record type and, per field, its
+#: JSON key, the attribute it sets, its parser and its default (None: required).
+_RECORDS = {
+    "tasks": (Task, (
+        ("name", "name", _string, None),
+        ("vessel", "vessel", _string, None),
+        ("duration", "duration", _integer, None),
+        ("min_batch_fraction", "min_batch_fraction", _number, 0.0),
+        ("startup_cost", "startup_cost", _number, 0.0),
+    )),
+    "materials": (Material, (
+        ("name", "name", _string, None),
+        ("class", "mclass", _string, None),
+        ("price", "price", _number, None),
+        ("storage_cost", "storage_cost", _number, 0.0),
+        ("storage_cap", "storage_cap", _number, None),
+    )),
+    "vessels": (Vessel, (
+        ("name", "name", _string, None),
+        ("unit_cost", "unit_cost", _number, 0.0),
+        ("cap", "cap", _number, None),
+    )),
+}
+
+
+def _records(payload: dict, key: str) -> list:
+    """The records of the array ``payload[key]``, each field checked in declared order."""
+    cls, fields = _RECORDS[key]
+    return [
+        cls(**{attr: _field(row, field, p, parse, default)
+               for field, attr, parse, default in fields})
+        for p, row in _rows(payload, key, "$")
+    ]
+
+
 def _table_from_payload(payload: dict, path: str) -> dict[tuple[str, str, int], float]:
     table = {}
     for task, per_resource in payload.items():
@@ -266,40 +283,15 @@ def load_instance(path: str | Path) -> tuple[RtnNetwork, ScenarioSet, int]:
     if not 1 <= hours_per_day <= 24:
         raise InstanceError(f"$.hours_per_day: must be an integer in 1..24, got {hours_per_day!r}")
 
-    tasks = [
-        Task(
-            name=_field(row, "name", p, _string),
-            vessel=_field(row, "vessel", p, _string),
-            duration=_field(row, "duration", p, _integer),
-            min_batch_fraction=_field(row, "min_batch_fraction", p, _number, 0.0),
-            startup_cost=_field(row, "startup_cost", p, _number, 0.0),
-        )
-        for p, row in _rows(payload, "tasks", "$")
-    ]
+    tasks = _records(payload, "tasks")
     for k, task in enumerate(tasks):
         if task.duration > hours_per_day:
             raise InstanceError(
                 f"$.tasks[{k}].duration: task {task.name!r} lasts {task.duration} h, "
                 f"more than hours_per_day ({hours_per_day})"
             )
-    materials = [
-        Material(
-            name=_field(row, "name", p, _string),
-            mclass=_field(row, "class", p, _string),
-            price=_field(row, "price", p, _number),
-            storage_cost=_field(row, "storage_cost", p, _number, 0.0),
-            storage_cap=_field(row, "storage_cap", p, _number),
-        )
-        for p, row in _rows(payload, "materials", "$")
-    ]
-    vessels = [
-        Vessel(
-            name=_field(row, "name", p, _string),
-            unit_cost=_field(row, "unit_cost", p, _number, 0.0),
-            cap=_field(row, "cap", p, _number),
-        )
-        for p, row in _rows(payload, "vessels", "$")
-    ]
+    materials = _records(payload, "materials")
+    vessels = _records(payload, "vessels")
     nu = _table_from_payload(_field(payload, "nu", "$", _object), "$.nu")
     penalty = _field(payload, "penalty", "$", _number)
     try:

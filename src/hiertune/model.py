@@ -118,9 +118,6 @@ class LinExpr:
             self.terms[vid] = new
         return self
 
-    def value(self, values: Mapping[int, float]) -> float:
-        return self.constant + sum(c * values[v] for v, c in self.terms.items())
-
     def copy(self) -> "LinExpr":
         out = LinExpr()
         out.terms = dict(self.terms)
@@ -151,9 +148,6 @@ class PiecewiseCostTerm:
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
 
-    def evaluate(self, v: float) -> float:
-        return float(np.interp(v, self.breakpoints, self.values))
-
 
 @dataclass
 class Solution:
@@ -162,9 +156,6 @@ class Solution:
     values: dict[int, float]
     objective: float
     status: Status
-
-    def value(self, vid: int) -> float:
-        return self.values[vid]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ Cost orientation is *minimize net cost*; profit is the negative objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -282,31 +282,16 @@ class TunableParameters:
         )
 
     @classmethod
-    def baseline(cls) -> "TunableParameters":
-        return cls(1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    @classmethod
     def from_array(cls, rho: Sequence[float]) -> "TunableParameters":
-        if len(rho) != 6:
-            raise DomainError(f"expected 6 parameters, got {len(rho)}")
+        if len(rho) != len(_RHO_BOUNDS):
+            raise DomainError(f"expected {len(_RHO_BOUNDS)} parameters, got {len(rho)}")
         return cls(*(float(x) for x in rho))
 
     def to_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.demand_penalty,
-                self.feed_vessel,
-                self.product_vessel,
-                self.intermediate_vessel,
-                self.storage,
-                self.startup,
-            ]
-        )
+        return np.array(astuple(self))
 
     def validate(self) -> None:
-        for value, (lo, up) in zip(self.to_array(), _RHO_BOUNDS):
-            if not lo <= value <= up:
-                raise DomainError(f"parameter {value} outside [{lo}, {up}]")
+        self.box().require(self.to_array(), tol=0.0)
 
     def vessel_prefactor(self, vessel_class: str) -> float:
         return {
@@ -797,7 +782,7 @@ def _least_value(vid: int, rows, values: Mapping[int, float]) -> float:
 def make_two_level_problem(
     network: RtnNetwork,
     scenarios: ScenarioSet,
-    aggregation: str = "single",
+    aggregation: str = "approach2",
     hours_per_day: int = 24,
     n_breakpoints: int = 8,
     high_options=None,
@@ -806,23 +791,18 @@ def make_two_level_problem(
 ):
     """Bind the network to the tuning engine.
 
-    ``aggregation`` selects the high-level demand: ``single`` (one scenario
-    week), ``approach1`` (elementwise average of the weeks), or
-    ``approach2`` (weeks concatenated with an inventory reset at each week
-    boundary).  The low level is always the set of fixed-design weekly
-    models; its weighted average counts the investment cost once.
+    ``aggregation`` selects the high-level demand: ``approach1`` (elementwise
+    average of the weeks) or ``approach2`` (weeks concatenated with an
+    inventory reset at each week boundary).  On one week both are that week.
+    The low level is always the set of fixed-design weekly models; its
+    weighted average counts the investment cost once.
     """
     from .engine import TwoLevelProblem  # binding layer; engine stays rtn-free
     from .model import SolveOptions
 
     if aggregation not in AGGREGATIONS:
         raise ModelError(f"unknown aggregation {aggregation!r}")
-    if aggregation == "single":
-        if len(scenarios.weeks) != 1:
-            raise ModelError("aggregation 'single' needs exactly one scenario week")
-        high_demand = scenarios.weeks[0]
-        week_length = high_demand.days
-    elif aggregation == "approach1":
+    if aggregation == "approach1":
         high_demand = aggregate_demand_approach1(scenarios.weeks)
         week_length = high_demand.days
     else:
@@ -852,4 +832,4 @@ def make_two_level_problem(
     )
 
 
-AGGREGATIONS = ("single", "approach1", "approach2")
+AGGREGATIONS = ("approach1", "approach2")

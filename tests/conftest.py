@@ -47,6 +47,16 @@ def week_scenarios(seed, net, n_weeks, days=7, demand_scale=6.0):
     return ScenarioSet.uniform(weeks)
 
 
+def expr_value(expr, values):
+    """Value of a linear expression at an assignment."""
+    return expr.constant + sum(c * values[v] for v, c in expr.terms.items())
+
+
+def pwl_value(term, v):
+    """Value of a piecewise cost term at ``v``, by linear interpolation."""
+    return float(np.interp(v, term.breakpoints, term.values))
+
+
 def row_residual(con, values):
     """How far an assignment violates one row; positive means violated."""
     lhs = sum(c * values[v] for v, c in con.expr.terms.items())
@@ -67,9 +77,9 @@ def evaluate_solution(model, values):
     for v in model.variables:
         if v.vid not in values:
             raise ModelError(f"missing value for variable {v.name!r}")
-    obj = model.objective.value(values)
+    obj = expr_value(model.objective, values)
     for term in model.pwl_terms:
-        obj += term.evaluate(values[term.variable])
+        obj += pwl_value(term, values[term.variable])
     viol = 0.0
     for v in model.variables:
         x = values[v.vid]

@@ -1,10 +1,12 @@
+import argparse
 import csv
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from hiertune.cli import main
+from hiertune.cli import _SETTINGS, build_parser, main
 from hiertune.instances import load_instance
 from hiertune.milp import solve_model
 from hiertune.model import SolveOptions
@@ -36,6 +38,15 @@ def test_gen_writes_instance(instance):
     assert len(payload["weeks"]) == 2
 
 
+def test_gen_bytes_are_pinned(tmp_path, instance):
+    # measured with numpy 2.4.6; a change here changes every instance file
+    default = tmp_path / "default.json"
+    assert run(["gen", "--out", default]) == 0
+    sha = {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in (default, instance)}
+    assert sha[default] == "abc060e57438f016d8a2a485c3d420750052919e2f3e73963ef19d93d4d29962"
+    assert sha[instance] == "addccad5120fa71cfb5f776200cba52750588ba1529f5831d3f28d0bf8993d98"
+
+
 def test_tune_budget_one_trace_row(tmp_path, instance):
     out = tmp_path / "t"
     code = run(
@@ -49,6 +60,19 @@ def test_tune_budget_one_trace_row(tmp_path, instance):
     assert summary["evaluations"] == 1
     assert summary["config_hash"]
     assert summary["seed"] == 3
+
+
+def test_tune_defaults_to_approach2_on_several_weeks(tmp_path, instance):
+    out = tmp_path / "t"
+    assert run(["tune", "--instance", instance, "--budget", 1, "--out", out] + FAST) == 0
+    assert json.loads((out / "summary.json").read_text())["aggregation"] == "approach2"
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"aggregation": "single"}))
+    out = tmp_path / "single"
+    assert run(["tune", "--instance", instance, "--config", cfg, "--budget", 1, "--out", out]
+               + FAST) == 2
+    assert json.loads((out / "error.json").read_text())["error"] == "config"
 
 
 def test_solve_full_and_baseline(tmp_path, instance):
@@ -254,13 +278,23 @@ def test_malformed_value_exits_2(tmp_path, instance, config, flags):
     assert not (out / "summary.json").exists()
 
 
+def test_several_bad_settings_report_the_first_declared(tmp_path, instance):
+    # set iteration order varies with the hash seed; declared order does not
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": "y", "mip_gap": "z", "budget": "x"}))
+    out = tmp_path / "t"
+    assert run(["tune", "--instance", instance, "--config", cfg, "--out", out]) == 2
+    assert json.loads((out / "error.json").read_text())["message"].startswith("budget:")
+
+
 @pytest.mark.parametrize(
     "mode, content",
     [("transfer", {"best_rho": [1, 0, 0, 0, 0]}), ("transfer", {"best_rho": 5}),
      ("transfer", {"best_rho": [[1]]}), ("transfer", {"best_rho": None}),
-     ("report", [1, 2]), ("tune", ["budget"]), ("tune", {"initial_rho": 5})],
+     ("report", [1, 2]), ("report", {"mode": "tune", "best_rho": ["a"]}),
+     ("tune", ["budget"]), ("tune", {"initial_rho": 5})],
     ids=["best-rho-short", "best-rho-number", "best-rho-nested", "best-rho-null",
-         "report-array", "config-array", "config-initial-rho-number"],
+         "report-array", "report-rho-string", "config-array", "config-initial-rho-number"],
 )
 def test_malformed_json_input_exits_2(tmp_path, instance, mode, content):
     path = tmp_path / "input.json"
@@ -277,6 +311,14 @@ def test_malformed_json_input_exits_2(tmp_path, instance, mode, content):
     record = json.loads((out / "error.json").read_text())
     assert record["error"] == "config" and record["mode"] == mode
     assert not (out / "summary.json").exists()
+
+
+def test_rho_outside_box_message_prints_plain_floats(tmp_path, instance):
+    out = tmp_path / "b"
+    assert run(["baseline", "--instance", instance, "--initial-rho", "1,0,0,0,0,60",
+                "--out", out] + SOLVE) == 2
+    message = json.loads((out / "error.json").read_text())["message"]
+    assert "60.0" in message and "np." not in message
 
 
 def test_summary_counts_design_cache_hits(tmp_path, instance):
@@ -312,6 +354,19 @@ def test_flag_the_subcommand_does_not_read_is_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_every_flag_is_a_declared_setting():
+    paths = {"config", "instance", "out", "from"}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        opt[2:].replace("-", "_")
+        for parser in sub.choices.values()
+        for action in parser._actions
+        if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+    }
+    assert declared - paths == set(_SETTINGS)
 
 
 def test_solve_full_one_week_matches_single_week_model(tmp_path):

@@ -231,9 +231,9 @@ def test_rtn_problem_objective_audit():
     net, dem, hpd = tiny_case(61, days=2, hpd=4, max_duration=2)
     scen = ScenarioSet.uniform([dem])
     prob = make_two_level_problem(
-        net, scen, "single", hpd, 3, high_options=FAST, low_options=FAST
+        net, scen, "approach2", hpd, 3, high_options=FAST, low_options=FAST
     )
-    res = evaluate(prob, TunableParameters.baseline().to_array())
+    res = evaluate(prob, TunableParameters().to_array())
     assert res.feasible
     total = 0.0
     for (weight, model), rep in zip(prob.build_lows(res.decision), res.low_reports):
@@ -251,7 +251,7 @@ def test_rtn_degenerate_design_space():
     big = type(dem)(1, {m.name: (500.0,) for m in net.products()})
     scen = ScenarioSet.uniform([big])
     prob = make_two_level_problem(
-        net, scen, "single", hpd, 2, high_options=FAST, low_options=FAST
+        net, scen, "approach2", hpd, 2, high_options=FAST, low_options=FAST
     )
     objs = {
         round(evaluate(prob, np.array(r)).objective, 6)
@@ -301,10 +301,10 @@ def test_design_cache_solves_each_decision_once(threads):
 def test_design_cache_same_at_one_and_two_threads():
     net, dem, hpd = tiny_case(61, days=2, hpd=4, max_duration=2)
     prob = make_two_level_problem(
-        net, ScenarioSet.uniform([dem]), "single", hpd, 3, high_options=FAST, low_options=FAST
+        net, ScenarioSet.uniform([dem]), "approach2", hpd, 3, high_options=FAST, low_options=FAST
     )
     cfg = DfoConfig(algorithm="pso", budget=16, seed=5)
-    start = TunableParameters.baseline().to_array()
+    start = TunableParameters().to_array()
 
     def rows(threads):
         trace = tune(prob, cfg, initial_rho=start, threads=threads)

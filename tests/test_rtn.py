@@ -30,7 +30,7 @@ from hiertune.rtn import (
     nu_overall,
 )
 
-from conftest import evaluate_solution, row_residual, tiny_case
+from conftest import evaluate_solution, expr_value, pwl_value, row_residual, tiny_case
 
 OPTS = SolveOptions(mip_gap=1e-6, time_limit=120)
 ONES = TunableParameters(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
@@ -131,7 +131,7 @@ def test_scenario_weights():
 
 
 def test_tunable_parameter_box():
-    TunableParameters.baseline().validate()
+    TunableParameters().validate()
     with pytest.raises(DomainError):
         TunableParameters(demand_penalty=31.0).validate()
     with pytest.raises(DomainError):
@@ -437,7 +437,7 @@ def test_extract_design(chain2, chain2_demand):
 
 
 @pytest.mark.parametrize(
-    "rho", [TunableParameters.baseline(), TunableParameters(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)]
+    "rho", [TunableParameters(), TunableParameters(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)]
 )
 def test_extract_design_ignores_unpriced_vertex(chain2, chain2_demand, rho):
     # a size with no high-level price may sit anywhere the solver leaves it;
@@ -686,7 +686,7 @@ def test_random_schedules_feasible_and_aggregate_soundly():
                 if any(v.name == f"Xagg[{m.name},{d}]" for m in net.materials for d in reset):
                     continue  # end-of-block inventory reset may be violated
                 assert v.lower - 1e-9 <= hids[v.vid] <= v.upper + 1e-9
-            hobj = high.objective.value(hids) + sum(
-                t.evaluate(hids[t.variable]) for t in high.pwl_terms
+            hobj = expr_value(high.objective, hids) + sum(
+                pwl_value(t, hids[t.variable]) for t in high.pwl_terms
             )
             assert hobj == pytest.approx(fobj, abs=1e-6)
