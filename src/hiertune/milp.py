@@ -10,6 +10,24 @@ first HiGHS solve, not with the package: it takes longer to load than the
 rest of ``hiertune``, and commands that never solve (``gen``, ``report``)
 should not pay for it.
 
+Every solve turns off HiGHS's feasibility-jump primal heuristic
+(``mip_heuristic_run_feasibility_jump``).  HiGHS 1.12 runs it at the root of
+each MILP.  On the small models of the tests and the benchmark it is most of
+the solve time and changes no incumbent, bound or design.  On larger models
+stopped by a limit it is worth little: up to the paper-shaped 22-task week,
+weekly low levels ended with the same incumbent and bound either way, and
+full spaces with incumbents up to 0.07 % apart (the heuristic's the better)
+and bounds that moved either way.  Measured on scipy 1.17.1 / HiGHS 1.12.0
+(median ``milp`` call of 30, heuristic on and off alternating, 2-CPU
+machine): the approach2 high level of the benchmark's ``chain1-2w`` instance
+(31 columns, 4 integers) went from 16.2 to 4.4 ms and its week-0 low level
+(56 columns, 9 integers) from 34.4 to 10.9 ms, while a 2-variable MILP stayed
+at 2.3 ms: the saving is the heuristic's work, not a fixed cost per call.
+``scipy.optimize.milp`` passes the key to HiGHS verbatim and warns that it
+does not know it; that one warning is silenced below.  The benchmark's
+reference (``bench/reference.py``) keeps HiGHS's default options, so it stays
+an independent check.
+
 All solves are deterministic for a fixed (model, options) pair as long as no
 time limit stops them; wall time is the only report field that varies
 between runs.
@@ -20,6 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +57,13 @@ from .model import (
 from .simplex import LP_OPTIMAL, LP_UNBOUNDED, solve_lp_csc
 
 __all__ = ["SolveReport", "solve_milp", "brute_force_milp", "solve_model"]
+
+# a module-level filter, not a catch_warnings() per call: that is not
+# thread-safe, and tune solves on several threads
+warnings.filterwarnings(
+    "ignore", message="Unrecognized options detected", category=RuntimeWarning,
+    module=r"hiertune\.milp",
+)
 
 #: Default cap on the integer search space of the enumeration oracle.
 BRUTE_FORCE_CAP = 2**22
@@ -111,18 +137,18 @@ class _Arrays:
     def linear_constraint(self, extra_columns: int = 0):
         """All rows as one two-sided ``LinearConstraint`` for ``milp``, or None.
 
-        ``extra_columns`` empty columns are appended after the model's own.
+        ``extra_columns`` empty columns are appended after the model's own: in
+        CSC form each is one more repeat of the last column pointer.
         """
         from scipy.optimize import LinearConstraint
-        from scipy.sparse import csc_array, csr_array, hstack
+        from scipy.sparse import csc_array
 
         if self.m == 0:
             return None
         lo = np.where(self.senses >= 0, self.b, -np.inf)
         up = np.where(self.senses <= 0, self.b, np.inf)
-        A = csc_array((self.cval, self.crow, self.cptr), shape=(self.m, self.n)).tocsr()
-        if extra_columns:
-            A = hstack([A, csr_array((self.m, extra_columns))], format="csr")
+        cptr = np.append(self.cptr, np.repeat(self.cptr[-1], extra_columns))
+        A = csc_array((self.cval, self.crow, cptr), shape=(self.m, self.n + extra_columns))
         return LinearConstraint(A, lo, up)
 
 
@@ -200,6 +226,7 @@ def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> Sol
             "time_limit": options.time_limit,
             "node_limit": options.node_limit,
             "mip_rel_gap": options.mip_gap,
+            "mip_heuristic_run_feasibility_jump": False,
         },
     )
     wall = time.perf_counter() - t0

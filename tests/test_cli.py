@@ -2,6 +2,9 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -92,6 +95,21 @@ def test_solve_full_and_baseline(tmp_path, instance):
     # one-way baseline cannot beat the monolithic optimum
     if report["status"] == "optimal" and base["feasible"]:
         assert base["objective"] >= report["objective"] - 1e-6
+
+
+def test_solve_full_raises_no_runtime_warning(tmp_path, instance):
+    # solve_milp hands HiGHS an option scipy does not know; the warning scipy
+    # gives for it must stay silenced outside pytest's own filters too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hiertune", "solve-full",
+         "--instance", str(instance), "--out", str(tmp_path / "sf"), *SOLVE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Unrecognized options" not in proc.stderr
 
 
 def test_tune_then_transfer_then_report(tmp_path, instance):

@@ -16,8 +16,7 @@ from hiertune.engine import (
     transfer_tune,
     tune,
 )
-from hiertune.milp import solve_model
-from hiertune.model import GE, LE, Kind, ModelInstance, SolveOptions
+from hiertune.model import GE, Kind, ModelInstance, SolveOptions
 from hiertune.rtn import RtnDesign, ScenarioSet, TunableParameters, make_two_level_problem
 
 from conftest import evaluate_solution, tiny_case

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 
 from hiertune.milp import _milp_status, brute_force_milp, solve_milp, solve_model
@@ -276,6 +277,27 @@ def test_determinism():
     r1 = solve_milp(m, SolveOptions())
     r2 = solve_milp(m, SolveOptions())
     assert dataclasses.replace(r1, wall_time=0.0) == dataclasses.replace(r2, wall_time=0.0)
+
+
+def test_solve_turns_off_feasibility_jump(monkeypatch):
+    # the heuristic is most of a small solve's time; losing this option
+    # would slow every solve without changing any result
+    seen = []
+
+    def spy(*args, options=None, **kwargs):
+        seen.append(dict(options))
+        return SimpleNamespace(status=2, x=None, fun=None, mip_node_count=0, mip_dual_bound=None)
+
+    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    m = random_tiny_milp(np.random.default_rng(5), n_bin=3, n_cont=2, n_rows=4)
+    opts = SolveOptions(time_limit=7.0, node_limit=123, mip_gap=1e-3)
+    assert solve_milp(m, opts).status is Status.INFEASIBLE
+    assert seen == [{
+        "time_limit": 7.0,
+        "node_limit": 123,
+        "mip_rel_gap": 1e-3,
+        "mip_heuristic_run_feasibility_jump": False,
+    }]
 
 
 def test_monotone_gap_and_optimal_gap_invariant():

@@ -6,7 +6,7 @@ import pytest
 
 from hiertune.dfo import DomainError
 from hiertune.instances import generate_demand, generate_network
-from hiertune.milp import brute_force_milp, solve_milp, solve_model
+from hiertune.milp import brute_force_milp, solve_model
 from hiertune.model import Kind, ModelError, Solution, SolveOptions, Status
 from hiertune.rtn import (
     FEED,
