@@ -1,14 +1,35 @@
 """MILP solving with HiGHS, and the enumeration oracle that checks it.
 
-``solve_milp`` solves a model through ``scipy.optimize.milp`` and maps
-HiGHS's result onto :class:`SolveReport`, objective constant included.
-``brute_force_milp`` is the exhaustive-enumeration oracle that verifies it on
-tiny instances: it solves each integer assignment's LP with the dense simplex
-of :mod:`hiertune.simplex`, so it shares no code with the solver it checks.
-On a model without integers it is a plain LP solve.  SciPy is imported on the
+``solve_milp`` hands a model to the HiGHS that SciPy bundles, through its
+binding ``scipy.optimize._highspy._core``, and maps HiGHS's result onto
+:class:`SolveReport`, objective constant included.  ``brute_force_milp`` is
+the exhaustive-enumeration oracle that verifies it on tiny instances: it
+solves each integer assignment's LP with the dense simplex of
+:mod:`hiertune.simplex`, so it shares no code with the solver it checks.  On
+a model without integers it is a plain LP solve.  SciPy is imported on the
 first HiGHS solve, not with the package: it takes longer to load than the
 rest of ``hiertune``, and commands that never solve (``gen``, ``report``)
 should not pay for it.
+
+Solves bypass ``scipy.optimize.milp``.  Each call of it validates its input
+and packs it into a ``LinearConstraint``, builds six HiGHS options managers
+(one, plus one per option it checks, about 0.1 ms each) and a Python list of
+one variable type per column, and reads the basis and every column's dual,
+which no solve here uses.  That fixed cost is most of a small solve, and it
+runs holding the GIL while ``tune`` solves on several threads.
+``solve_milp`` builds the ``HighsLp`` and ``HighsOptions`` that ``milp``
+would and runs them on a fresh ``_Highs`` per solve, so HiGHS gets the same
+input and gives the same answers.  Measured on scipy 1.17.1 / HiGHS 1.12.0
+(median call of 30, the two paths alternating in one process, 2-CPU
+machine), ``milp`` against the direct path: a 2-variable MILP took 1.20 and
+0.42 ms, the approach2 high level of the benchmark's ``chain1-2w`` instance
+(31 columns, 4 integers) 2.36 and 1.39 ms, and its week-0 low level (56
+columns, 9 integers) 5.63 and 4.65 ms.  The binding is SciPy's private
+module, so ``pyproject.toml`` requires the release this was verified on.
+The test ``test_matches_public_milp_with_same_options`` solves through the
+public ``milp``, and the benchmark's reference (``bench/reference.py``)
+solves through it with HiGHS's default options, so both stay independent
+checks.
 
 Every solve turns off HiGHS's feasibility-jump primal heuristic
 (``mip_heuristic_run_feasibility_jump``).  HiGHS 1.12 runs it at the root of
@@ -17,16 +38,10 @@ the solve time and changes no incumbent, bound or design.  On larger models
 stopped by a limit it is worth little: up to the paper-shaped 22-task week,
 weekly low levels ended with the same incumbent and bound either way, and
 full spaces with incumbents up to 0.07 % apart (the heuristic's the better)
-and bounds that moved either way.  Measured on scipy 1.17.1 / HiGHS 1.12.0
-(median ``milp`` call of 30, heuristic on and off alternating, 2-CPU
-machine): the approach2 high level of the benchmark's ``chain1-2w`` instance
-(31 columns, 4 integers) went from 16.2 to 4.4 ms and its week-0 low level
-(56 columns, 9 integers) from 34.4 to 10.9 ms, while a 2-variable MILP stayed
-at 2.3 ms: the saving is the heuristic's work, not a fixed cost per call.
-``scipy.optimize.milp`` passes the key to HiGHS verbatim and warns that it
-does not know it; that one warning is silenced below.  The benchmark's
-reference (``bench/reference.py``) keeps HiGHS's default options, so it stays
-an independent check.
+and bounds that moved either way.  Measured through ``milp`` as above, with
+the heuristic on and off: the ``chain1-2w`` high level took 16.2 and 4.4 ms,
+its week-0 low level 34.4 and 10.9 ms, and a 2-variable MILP 2.3 ms either
+way, so the saving is the heuristic's work, not a fixed cost per call.
 
 All solves are deterministic for a fixed (model, options) pair as long as no
 time limit stops them; wall time is the only report field that varies
@@ -38,7 +53,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +72,6 @@ from .simplex import LP_OPTIMAL, LP_UNBOUNDED, solve_lp_csc
 
 __all__ = ["SolveReport", "solve_milp", "brute_force_milp", "solve_model"]
 
-# a module-level filter, not a catch_warnings() per call: that is not
-# thread-safe, and tune solves on several threads
-warnings.filterwarnings(
-    "ignore", message="Unrecognized options detected", category=RuntimeWarning,
-    module=r"hiertune\.milp",
-)
-
 #: Default cap on the integer search space of the enumeration oracle.
 BRUTE_FORCE_CAP = 2**22
 
@@ -74,8 +81,8 @@ class SolveReport:
     """Outcome of one solve.
 
     ``nodes`` counts branch-and-bound nodes (for the oracle, enumerated
-    assignments); ``lp_iterations`` counts the oracle's simplex pivots and is
-    0 for HiGHS, which does not report a MIP's simplex count.
+    assignments); ``lp_iterations`` counts simplex iterations: HiGHS's total
+    over every LP it solved, or the oracle's pivots.
     """
 
     status: Status
@@ -134,23 +141,6 @@ class _Arrays:
             return -self.c, -self.c0
         return self.c, self.c0
 
-    def linear_constraint(self, extra_columns: int = 0):
-        """All rows as one two-sided ``LinearConstraint`` for ``milp``, or None.
-
-        ``extra_columns`` empty columns are appended after the model's own: in
-        CSC form each is one more repeat of the last column pointer.
-        """
-        from scipy.optimize import LinearConstraint
-        from scipy.sparse import csc_array
-
-        if self.m == 0:
-            return None
-        lo = np.where(self.senses >= 0, self.b, -np.inf)
-        up = np.where(self.senses <= 0, self.b, np.inf)
-        cptr = np.append(self.cptr, np.repeat(self.cptr[-1], extra_columns))
-        A = csc_array((self.cval, self.crow, cptr), shape=(self.m, self.n + extra_columns))
-        return LinearConstraint(A, lo, up)
-
 
 def _gap(objective: float, bound: float) -> float:
     return abs(objective - bound) / max(1.0, abs(objective))
@@ -167,84 +157,103 @@ def _solution(arr: _Arrays, x: np.ndarray, obj_min: float, status: Status) -> So
     return Solution(values, obj, status)
 
 
-def _no_solution(arr: _Arrays, status: Status, nodes: int, wall: float,
-                 bound_min: float) -> SolveReport:
-    """Report without an incumbent; ``bound_min`` is in minimize orientation."""
-    if status is Status.INFEASIBLE:
-        bound_min = math.inf
-    elif status is Status.UNBOUNDED:
-        bound_min = -math.inf
-    elif status is Status.NUMERICAL_FAILURE:
-        bound_min = math.nan
+def _no_solution(arr: _Arrays, status: Status, wall: float, lp_iterations: int) -> SolveReport:
+    """Report without an incumbent: no nodes and the bound that ``status`` implies.
+
+    A stop on a limit reports an unknown bound, -inf in minimize orientation.
+    """
+    bound_min = {
+        Status.INFEASIBLE: math.inf,
+        Status.NUMERICAL_FAILURE: math.nan,
+    }.get(status, -math.inf)
     ext = -1.0 if arr.maximize else 1.0
-    return SolveReport(status, None, ext * bound_min, math.inf, nodes, 0, wall)
+    return SolveReport(status, None, ext * bound_min, math.inf, 0, lp_iterations, wall)
 
 
-def _milp_status(res, options: SolveOptions) -> Status:
-    """Map a ``scipy.optimize.milp`` result onto :class:`Status`."""
-    if res.status == 0:
-        return Status.OPTIMAL
-    if res.status == 2:
-        return Status.INFEASIBLE
-    if res.status == 3:
-        return Status.UNBOUNDED
-    # scipy reports a node-limit stop as an unrecognised HiGHS status (4)
-    node_stop = res.status == 4 and (res.mip_node_count or 0) >= options.node_limit
-    if res.status == 1 or node_stop:
-        return Status.NO_INCUMBENT if res.x is None else Status.FEASIBLE_GAP
-    return Status.NUMERICAL_FAILURE
+_STATUS = {"kOptimal": Status.OPTIMAL, "kInfeasible": Status.INFEASIBLE,
+           "kUnbounded": Status.UNBOUNDED}
+# a node-limit stop is kSolutionLimit
+_LIMITS = ("kTimeLimit", "kIterationLimit", "kSolutionLimit")
+
+
+def _milp_status(model_status, has_incumbent: bool) -> Status:
+    """Map a ``HighsModelStatus`` onto :class:`Status`; unknown ones are failures."""
+    if model_status.name in _LIMITS:
+        return Status.FEASIBLE_GAP if has_incumbent else Status.NO_INCUMBENT
+    return _STATUS.get(model_status.name, Status.NUMERICAL_FAILURE)
 
 
 def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> SolveReport:
     """Solve with HiGHS.  Returns the incumbent and a valid best bound.
 
-    ``lp_iterations`` is 0: HiGHS does not report a MIP's simplex count.
+    ``lp_iterations`` is HiGHS's simplex iteration count; on a MIP it is the
+    total over the LPs of the branch and bound.
     """
-    from scipy.optimize import Bounds, milp
+    from scipy.optimize._highspy import _core as highs
 
     options = options or SolveOptions()
     arr = _Arrays(model)
     c, c0 = arr.csigned()
-    integrality = np.zeros(arr.n)
-    integrality[arr.int_ids] = 1
-    lower, upper = arr.lower, arr.upper
-    extra = 0
+    lower, upper, cptr = arr.lower, arr.upper, arr.cptr
     if c0:
         # HiGHS measures its relative gap on the objective it is given, so the
         # constant rides along as a column fixed at 1
         c = np.append(c, c0)
-        integrality = np.append(integrality, 0)
         lower, upper = np.append(lower, 1.0), np.append(upper, 1.0)
-        extra = 1
-    t0 = time.perf_counter()
-    res = milp(
-        c,
-        integrality=integrality,
-        bounds=Bounds(lower, upper),
-        constraints=arr.linear_constraint(extra),
-        options={
-            "time_limit": options.time_limit,
-            "node_limit": options.node_limit,
-            "mip_rel_gap": options.mip_gap,
-            "mip_heuristic_run_feasibility_jump": False,
-        },
-    )
-    wall = time.perf_counter() - t0
-    status = _milp_status(res, options)
-    nodes = int(res.mip_node_count or 0)
-    dual = res.mip_dual_bound
-    if dual is None and status is Status.OPTIMAL:
-        dual = res.fun  # a model without integers reports no MIP bound
-    bound_min = -math.inf if dual is None else float(dual)
-    if status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
-        return _no_solution(arr, status, nodes, wall, bound_min)
+        cptr = np.append(cptr, cptr[-1])
+    n = c.size
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = arr.m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = cptr
+    lp.a_matrix_.index_ = arr.crow
+    lp.a_matrix_.value_ = arr.cval
+    lp.col_cost_ = c
+    lp.col_lower_ = lower
+    lp.col_upper_ = upper
+    lp.row_lower_ = np.where(arr.senses >= 0, arr.b, -np.inf)
+    lp.row_upper_ = np.where(arr.senses <= 0, arr.b, np.inf)
+    kinds = [highs.HighsVarType.kContinuous] * n
+    for vid in arr.int_ids:
+        kinds[vid] = highs.HighsVarType.kInteger
+    lp.integrality_ = kinds
+    hopts = highs.HighsOptions()
+    hopts.log_to_console = False
+    hopts.mip_max_nodes = options.node_limit
+    hopts.time_limit = options.time_limit
+    hopts.mip_rel_gap = options.mip_gap
+    hopts.mip_heuristic_run_feasibility_jump = False
 
-    x = np.clip(res.x[: arr.n], arr.lower, arr.upper)
-    obj_min = float(res.fun)
-    bound_min = min(bound_min, obj_min)
+    t0 = time.perf_counter()
+    solver = highs._Highs()
+    solver.passOptions(hopts)
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        # HiGHS refuses the model (a column fixed at +inf, say); run() would
+        # then solve an empty one
+        return _no_solution(arr, Status.NUMERICAL_FAILURE, time.perf_counter() - t0, 0)
+    solver.run()
+    wall = time.perf_counter() - t0
+    info = solver.getInfo()
+    is_mip = arr.int_ids.size > 0
+    model_status = solver.getModelStatus()
+    # an LP has a solution only when optimal, a MIP whenever it found an incumbent
+    has_incumbent = is_mip and info.objective_function_value < math.inf
+    status = _milp_status(model_status, has_incumbent)
+    # -1 when HiGHS ran no solver, as on an empty model
+    iterations = max(0, info.simplex_iteration_count)
+    if status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
+        return _no_solution(arr, status, wall, iterations)
+
+    x = np.clip(np.array(solver.getSolution().col_value)[: arr.n], arr.lower, arr.upper)
+    obj_min = float(info.objective_function_value)
+    # a model without integers reports no MIP bound
+    bound_min = min(float(info.mip_dual_bound), obj_min) if is_mip else obj_min
+    nodes = info.mip_node_count if is_mip else 0
     sol = _solution(arr, x, obj_min, status)
     ext = -1.0 if arr.maximize else 1.0
-    return SolveReport(status, sol, ext * bound_min, _gap(obj_min, bound_min), nodes, 0, wall)
+    return SolveReport(status, sol, ext * bound_min, _gap(obj_min, bound_min), nodes,
+                       iterations, wall)
 
 
 def brute_force_milp(model: ModelInstance, cap: int = BRUTE_FORCE_CAP) -> SolveReport:

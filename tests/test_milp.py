@@ -1,11 +1,10 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.optimize
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.optimize._highspy import _core as highs
 
 from hiertune.milp import _milp_status, brute_force_milp, solve_milp, solve_model
 from hiertune.model import (
@@ -23,7 +22,7 @@ from hiertune.simplex import LP_INFEASIBLE, LP_OPTIMAL, LP_UNBOUNDED, solve_lp_c
 from conftest import evaluate_solution
 
 
-def random_tiny_milp(rng, n_bin=None, n_cont=None, n_rows=None, maximize=None):
+def random_tiny_milp(rng, n_bin=None, n_cont=None, n_rows=None, maximize=None, constant=0.0):
     """Random model small enough for the enumeration oracle."""
     n_bin = int(rng.integers(1, 11)) if n_bin is None else n_bin
     n_cont = int(rng.integers(0, 16)) if n_cont is None else n_cont
@@ -44,6 +43,21 @@ def random_tiny_milp(rng, n_bin=None, n_cont=None, n_rows=None, maximize=None):
             continue
         sense = (LE, GE, EQ)[int(rng.integers(0, 3))]
         m.add_constraint(expr, sense, float(rng.normal() * 2))
+    m.add_objective_constant(constant)
+    return m.seal()
+
+
+def hard_knapsack(seed, constant=0.0):
+    """A 25-binary knapsack HiGHS needs a few dozen nodes for."""
+    rng = np.random.default_rng(seed)
+    m = ModelInstance("hard", "maximize")
+    ids = [m.add_variable(f"b{k}", Kind.BINARY, 0, 1) for k in range(25)]
+    w = rng.uniform(1, 10, size=25)
+    p = w + rng.uniform(0, 1, size=25)
+    for vid, pk in zip(ids, p):
+        m.add_objective_term(vid, float(pk))
+    m.add_constraint({vid: float(wk) for vid, wk in zip(ids, w)}, LE, float(w.sum() / 2))
+    m.add_objective_constant(constant)
     return m.seal()
 
 
@@ -282,22 +296,27 @@ def test_determinism():
 def test_solve_turns_off_feasibility_jump(monkeypatch):
     # the heuristic is most of a small solve's time; losing this option
     # would slow every solve without changing any result
-    seen = []
+    received = []
 
-    def spy(*args, options=None, **kwargs):
-        seen.append(dict(options))
-        return SimpleNamespace(status=2, x=None, fun=None, mip_node_count=0, mip_dual_bound=None)
+    class Recording(highs._Highs):
+        def passOptions(self, options):
+            status = super().passOptions(options)
+            received.append(self.getOptions())
+            return status
 
-    monkeypatch.setattr(scipy.optimize, "milp", spy)
+    monkeypatch.setattr(highs, "_Highs", Recording)
     m = random_tiny_milp(np.random.default_rng(5), n_bin=3, n_cont=2, n_rows=4)
-    opts = SolveOptions(time_limit=7.0, node_limit=123, mip_gap=1e-3)
-    assert solve_milp(m, opts).status is Status.INFEASIBLE
-    assert seen == [{
+    solve_milp(m, SolveOptions(time_limit=7.0, node_limit=123, mip_gap=1e-3))
+    [got] = received
+    default = highs.HighsOptions()
+    names = [k for k in dir(default) if not k.startswith("_")]
+    assert {k: getattr(got, k) for k in names if getattr(got, k) != getattr(default, k)} == {
+        "log_to_console": False,
+        "mip_max_nodes": 123,
         "time_limit": 7.0,
-        "node_limit": 123,
         "mip_rel_gap": 1e-3,
         "mip_heuristic_run_feasibility_jump": False,
-    }]
+    }
 
 
 def test_monotone_gap_and_optimal_gap_invariant():
@@ -312,15 +331,7 @@ def test_monotone_gap_and_optimal_gap_invariant():
 
 def test_time_limit_reports_limit_status():
     # a model the solver cannot finish instantly, with a microscopic limit
-    rng = np.random.default_rng(9)
-    m = ModelInstance("hard", "maximize")
-    ids = [m.add_variable(f"b{k}", Kind.BINARY, 0, 1) for k in range(25)]
-    w = rng.uniform(1, 10, size=25)
-    p = w + rng.uniform(0, 1, size=25)
-    for vid, pk in zip(ids, p):
-        m.add_objective_term(vid, float(pk))
-    m.add_constraint({vid: float(wk) for vid, wk in zip(ids, w)}, LE, float(w.sum() / 2))
-    m.seal()
+    m = hard_knapsack(9)
     rep = solve_milp(m, SolveOptions(time_limit=1e-4, mip_gap=1e-9))
     assert rep.status in (Status.FEASIBLE_GAP, Status.NO_INCUMBENT)
     full = solve_milp(m, SolveOptions(time_limit=60, mip_gap=1e-9))
@@ -332,20 +343,14 @@ def test_time_limit_reports_limit_status():
 
 
 def test_node_limit_reports_limit_status():
-    rng = np.random.default_rng(9)
-    m = ModelInstance("hard", "maximize")
-    ids = [m.add_variable(f"b{k}", Kind.BINARY, 0, 1) for k in range(25)]
-    w = rng.uniform(1, 10, size=25)
-    p = w + rng.uniform(0, 1, size=25)
-    for vid, pk in zip(ids, p):
-        m.add_objective_term(vid, float(pk))
-    m.add_constraint({vid: float(wk) for vid, wk in zip(ids, w)}, LE, float(w.sum() / 2))
-    m.seal()
+    m = hard_knapsack(9)
     rep = solve_milp(m, SolveOptions(node_limit=1, mip_gap=1e-9))
     assert rep.status is Status.FEASIBLE_GAP
     assert rep.nodes == 1
     full = solve_milp(m, SolveOptions(time_limit=60, mip_gap=1e-9))
     assert full.status is Status.OPTIMAL
+    # HiGHS's simplex count over the branch and bound's LPs
+    assert 0 < rep.lp_iterations < full.lp_iterations
     assert rep.best_bound >= full.incumbent.objective - 1e-7
     assert rep.incumbent.objective <= full.incumbent.objective + 1e-7
     assert rep.gap > 0
@@ -354,16 +359,7 @@ def test_node_limit_reports_limit_status():
 def test_gap_counts_objective_constant():
     # a constant that nearly cancels the objective: a 1 % gap on the raw
     # objective would be a gap of tens of percent on the true one
-    rng = np.random.default_rng(1)
-    m = ModelInstance("offset", "maximize")
-    ids = [m.add_variable(f"b{k}", Kind.BINARY, 0, 1) for k in range(25)]
-    w = rng.uniform(1, 10, size=25)
-    p = w + rng.uniform(0, 1, size=25)
-    for vid, pk in zip(ids, p):
-        m.add_objective_term(vid, float(pk))
-    m.add_constraint({vid: float(wk) for vid, wk in zip(ids, w)}, LE, float(w.sum() / 2))
-    m.add_objective_constant(-79.0)
-    m.seal()
+    m = hard_knapsack(1, constant=-79.0)
     exact = solve_milp(m, SolveOptions(mip_gap=1e-9))
     assert exact.status is Status.OPTIMAL
     rep = solve_milp(m, SolveOptions(mip_gap=0.01))
@@ -376,23 +372,129 @@ def test_gap_counts_objective_constant():
 
 
 @pytest.mark.parametrize(
-    "status, has_x, nodes, expected",
+    "name, has_incumbent, expected",
     [
-        (0, True, 5, Status.OPTIMAL),
-        (1, True, 5, Status.FEASIBLE_GAP),
-        (1, False, 5, Status.NO_INCUMBENT),
-        (2, False, 5, Status.INFEASIBLE),
-        (3, False, 0, Status.UNBOUNDED),
-        # scipy reports a node-limit stop as status 4 ("HiGHS Status 16")
-        (4, True, 10, Status.FEASIBLE_GAP),
-        (4, False, 10, Status.NO_INCUMBENT),
-        (4, True, 5, Status.NUMERICAL_FAILURE),
-        (4, False, 5, Status.NUMERICAL_FAILURE),
+        ("kOptimal", True, Status.OPTIMAL),
+        ("kTimeLimit", True, Status.FEASIBLE_GAP),
+        ("kTimeLimit", False, Status.NO_INCUMBENT),
+        ("kIterationLimit", False, Status.NO_INCUMBENT),
+        # HiGHS stops on its node limit with kSolutionLimit
+        ("kSolutionLimit", True, Status.FEASIBLE_GAP),
+        ("kSolutionLimit", False, Status.NO_INCUMBENT),
+        ("kInfeasible", False, Status.INFEASIBLE),
+        ("kUnbounded", False, Status.UNBOUNDED),
+        ("kUnboundedOrInfeasible", False, Status.NUMERICAL_FAILURE),
+        ("kSolveError", True, Status.NUMERICAL_FAILURE),
+        ("kModelEmpty", False, Status.NUMERICAL_FAILURE),
     ],
 )
-def test_milp_status_mapping(status, has_x, nodes, expected):
-    res = SimpleNamespace(status=status, x=np.zeros(2) if has_x else None, mip_node_count=nodes)
-    assert _milp_status(res, SolveOptions(node_limit=10)) is expected
+def test_milp_status_mapping(name, has_incumbent, expected):
+    assert _milp_status(highs.HighsModelStatus.__members__[name], has_incumbent) is expected
+
+
+def test_model_highs_refuses_is_a_failure():
+    # a column fixed at +inf passes the model's bound check but not HiGHS's
+    m = ModelInstance()
+    x = m.add_variable("x", Kind.CONTINUOUS, math.inf, math.inf)
+    y = m.add_variable("y", Kind.INTEGER, 0, 3)
+    m.add_objective_term(y, 1.0)
+    m.add_constraint({x: 1.0, y: 1.0}, LE, 5.0)
+    rep = solve_milp(m.seal())
+    assert rep.status is Status.NUMERICAL_FAILURE
+    assert rep.incumbent is None and math.isnan(rep.best_bound)
+
+
+def _public_milp(m, opts):
+    """``m`` through ``scipy.optimize.milp``, built from the model alone."""
+    n = m.n_variables
+    sign = -1.0 if m.sense.value == "maximize" else 1.0
+    c = np.zeros(n + 1)
+    for vid, coef in m.objective.terms.items():
+        c[vid] = sign * coef
+    c[n] = sign * m.objective.constant
+    # the constant column is there only when the constant is nonzero
+    cols = n + 1 if c[n] else n
+    A = np.zeros((m.n_constraints, cols))
+    lo, up = np.full(m.n_constraints, -np.inf), np.full(m.n_constraints, np.inf)
+    for con in m.constraints:
+        for vid, coef in con.expr.terms.items():
+            A[con.cid, vid] = coef
+        if con.sense in (GE, EQ):
+            lo[con.cid] = con.rhs
+        if con.sense in (LE, EQ):
+            up[con.cid] = con.rhs
+    lower = np.array([v.lower for v in m.variables] + [1.0])[:cols]
+    upper = np.array([v.upper for v in m.variables] + [1.0])[:cols]
+    integrality = np.zeros(cols)
+    integrality[m.integer_ids()] = 1
+    return milp(
+        c[:cols],
+        integrality=integrality,
+        bounds=Bounds(lower, upper),
+        constraints=LinearConstraint(A, lo, up) if m.n_constraints else None,
+        options={
+            "time_limit": opts.time_limit,
+            "node_limit": opts.node_limit,
+            "mip_rel_gap": opts.mip_gap,
+            "mip_heuristic_run_feasibility_jump": False,
+        },
+    )
+
+
+def _equivalence_cases():
+    """(model, options, status or None) triples; the status is the one the case is for."""
+    rng = np.random.default_rng(23)
+    default = SolveOptions()
+    for k in range(40):
+        # every other model has an objective constant
+        constant = float(rng.normal() * 3) if k % 2 else 0.0
+        m = random_tiny_milp(rng, n_rows=int(rng.integers(1, 6)), constant=constant)
+        yield m, default, None
+    yield random_tiny_milp(rng, n_bin=4, n_cont=3, n_rows=0), default, Status.OPTIMAL
+    yield random_tiny_milp(rng, n_bin=0, n_cont=6, n_rows=2), default, Status.OPTIMAL
+    m = ModelInstance()
+    x = m.add_variable("x", Kind.BINARY, 0, 1)
+    m.add_constraint({x: 1.0}, GE, 2.0)
+    yield m.seal(), default, Status.INFEASIBLE
+    # HiGHS tells an unbounded LP, but not an unbounded MIP from an infeasible one
+    for kind, status in ((Kind.CONTINUOUS, Status.UNBOUNDED), (Kind.BINARY, Status.NUMERICAL_FAILURE)):
+        m = ModelInstance()
+        x = m.add_variable("x", Kind.CONTINUOUS, 0, math.inf)
+        y = m.add_variable("y", kind, 0, 1)
+        m.add_objective_term(x, -1.0)
+        m.add_constraint({x: 1.0, y: -1.0}, GE, 0.0)
+        yield m.seal(), default, status
+    yield hard_knapsack(9), SolveOptions(node_limit=1, mip_gap=1e-9), Status.FEASIBLE_GAP
+
+
+@pytest.mark.filterwarnings("ignore:Unrecognized options detected:RuntimeWarning")
+def test_matches_public_milp_with_same_options():
+    # solve_milp hands scipy's HiGHS binding what scipy.optimize.milp would,
+    # so every answer is the public API's, bit for bit
+    seen = set()
+    for m, opts, case in _equivalence_cases():
+        rep, res = solve_milp(m, opts), _public_milp(m, opts)
+        n, ints = m.n_variables, m.integer_ids()
+        sign = -1.0 if m.sense.value == "maximize" else 1.0
+        if "HiGHS Status 16" in res.message:  # the node limit, a code scipy does not know
+            expected = Status.NO_INCUMBENT if res.x is None else Status.FEASIBLE_GAP
+        else:
+            expected = {0: Status.OPTIMAL, 2: Status.INFEASIBLE, 3: Status.UNBOUNDED,
+                        4: Status.NUMERICAL_FAILURE}[res.status]
+        assert rep.status is expected and case in (None, expected)
+        seen.add(expected)
+        assert rep.nodes == (res.mip_node_count or 0)
+        if res.x is None:
+            assert rep.incumbent is None
+            continue
+        x = np.clip(res.x[:n], [v.lower for v in m.variables], [v.upper for v in m.variables])
+        x[ints] = np.round(x[ints])
+        assert [rep.incumbent.values[j] for j in range(n)] == x.tolist()
+        assert rep.incumbent.objective == sign * res.fun
+        bound = res.fun if not ints else min(res.mip_dual_bound, res.fun)
+        assert rep.best_bound == sign * bound
+    assert seen == {Status.OPTIMAL, Status.FEASIBLE_GAP, Status.INFEASIBLE, Status.UNBOUNDED,
+                    Status.NUMERICAL_FAILURE}
 
 
 def test_solve_model_projects_pwl_vars():
