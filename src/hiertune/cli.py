@@ -375,7 +375,6 @@ def _cmd_oracle_check(cfg: dict) -> int:
     knap.add_objective_term(a, 3.0)
     knap.add_objective_term(b, 2.0)
     knap.add_constraint({a: 2.0, b: 2.0}, LE, 3.0)
-    knap.seal()
     checks.append(("knapsack-2bin", knap))
 
     network = generate_network(seed, n_tasks=1, max_duration=1, demand_scale=5.0)

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dfo import BoxDomain, DfoConfig, DomainError, run_dfo
 from .milp import SolveReport, solve_model
-from .model import ModelInstance, Sense, Solution, SolveOptions, Status
+from .model import ModelInstance, Sense, Solution, SolveOptions
 
 __all__ = [
     "TwoLevelProblem",
@@ -55,9 +55,6 @@ __all__ = [
 ]
 
 SENTINEL = 1e10
-
-_USABLE = (Status.OPTIMAL, Status.FEASIBLE_GAP)
-
 
 @dataclass
 class TwoLevelProblem:
@@ -147,7 +144,7 @@ def _solve_lows(problem: TwoLevelProblem, decision: Any) -> _Weekly:
     for weight, low_model in problem.build_lows(decision):
         rep = solve_model(low_model, problem.low_options)
         reports.append(rep)
-        if rep.status not in _USABLE:
+        if rep.incumbent is None:
             return _Weekly(SENTINEL, False, tuple(reports))
         objective += weight * _oriented(rep, low_model)
     return _Weekly(objective, True, tuple(reports))
@@ -199,7 +196,7 @@ def evaluate(
     high_model = problem.build_high(rho)
     high_report = solve_model(high_model, problem.high_options)
     t_high = time.perf_counter() - t0
-    if high_report.status not in _USABLE:
+    if high_report.incumbent is None:
         return EvalResult(rho_t, SENTINEL, False, None, high_report, [], t_high, 0.0, index)
 
     decision = problem.extract(high_model, high_report.incumbent)

@@ -43,6 +43,12 @@ the heuristic on and off: the ``chain1-2w`` high level took 16.2 and 4.4 ms,
 its week-0 low level 34.4 and 10.9 ms, and a 2-variable MILP 2.3 ms either
 way, so the saving is the heuristic's work, not a fixed cost per call.
 
+Both solvers minimize: a maximize model's objective is negated once, by
+``_Arrays`` as it reads the model, and turned back once, by ``_report``.
+``_report`` builds the :class:`SolveReport` of every exit of both solvers:
+it clips an incumbent to its bounds, rounds its integer columns, computes
+the gap, and gives a status without an incumbent the bound it implies.
+
 All solves are deterministic for a fixed (model, options) pair as long as no
 time limit stops them; wall time is the only report field that varies
 between runs.
@@ -95,79 +101,81 @@ class SolveReport:
 
 
 class _Arrays:
-    """Column-form (CSC) snapshot of a sealed, lowered model."""
+    """Column-form (CSC) snapshot of a lowered model, in minimize orientation.
+
+    ``c`` and ``c0`` are the objective times ``sign``, which is -1 for a
+    maximize model and 1 otherwise.
+    """
 
     def __init__(self, model: ModelInstance):
-        if not model.is_sealed:
-            raise ModelError("model must be sealed before solving")
         if model.pwl_terms:
             raise ModelError("piecewise terms must be lowered before solving")
         n = model.n_variables
-        m = model.n_constraints
-        senses = np.zeros(m, dtype=np.int8)
-        b = np.zeros(m)
-        cols: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for con in model.constraints:
-            i = con.cid
-            for vid, coef in con.expr.terms.items():
-                cols[vid].append((i, coef))
-            senses[i] = {LE: -1, EQ: 0, GE: 1}[con.sense]
-            b[i] = con.rhs
+        cons = model.constraints
+        m = len(cons)
+        # coordinate form in row order; a stable sort by column keeps each
+        # column's entries in row order
+        rows = np.repeat(np.arange(m, dtype=np.int64), [len(con.expr.terms) for con in cons])
+        cols = np.fromiter((j for con in cons for j in con.expr.terms), np.int64, rows.size)
+        vals = np.fromiter(
+            (a for con in cons for a in con.expr.terms.values()), np.float64, rows.size
+        )
+        order = np.argsort(cols, kind="stable")
+        self.crow = rows[order]
+        self.cval = vals[order]
         self.cptr = np.zeros(n + 1, dtype=np.int64)
-        rows: list[int] = []
-        vals: list[float] = []
-        for j, col in enumerate(cols):
-            self.cptr[j + 1] = self.cptr[j] + len(col)
-            for i, coef in col:
-                rows.append(i)
-                vals.append(coef)
-        self.crow = np.array(rows, dtype=np.int64)
-        self.cval = np.array(vals, dtype=np.float64)
-        self.senses = senses
-        self.b = b
+        np.cumsum(np.bincount(cols, minlength=n), out=self.cptr[1:])
+        self.senses = np.fromiter(({LE: -1, EQ: 0, GE: 1}[con.sense] for con in cons), np.int8, m)
+        self.b = np.fromiter((con.rhs for con in cons), np.float64, m)
+        self.sign = -1.0 if model.sense is Sense.MAXIMIZE else 1.0
         self.c = np.zeros(n)
         for vid, coef in model.objective.terms.items():
             self.c[vid] = coef
-        self.c0 = model.objective.constant
+        self.c *= self.sign
+        self.c0 = self.sign * model.objective.constant
         self.lower = np.array([v.lower for v in model.variables])
         self.upper = np.array([v.upper for v in model.variables])
         self.int_ids = np.array(model.integer_ids(), dtype=np.int64)
-        self.maximize = model.sense is Sense.MAXIMIZE
         self.n = n
         self.m = m
 
-    def csigned(self) -> tuple[np.ndarray, float]:
-        if self.maximize:
-            return -self.c, -self.c0
-        return self.c, self.c0
+
+#: Best bound, in minimize orientation, of a report without an incumbent.  A
+#: stop on a limit leaves the bound unknown: -inf.
+_NO_INCUMBENT_BOUND = {
+    Status.INFEASIBLE: math.inf,
+    Status.UNBOUNDED: -math.inf,
+    Status.NO_INCUMBENT: -math.inf,
+    Status.NUMERICAL_FAILURE: math.nan,
+}
 
 
-def _gap(objective: float, bound: float) -> float:
-    return abs(objective - bound) / max(1.0, abs(objective))
+def _report(
+    arr: _Arrays,
+    status: Status,
+    nodes: int,
+    iterations: int,
+    wall: float,
+    x: np.ndarray | None = None,
+    obj_min: float = math.nan,
+    bound_min: float = math.nan,
+) -> SolveReport:
+    """Report of one solve, turned back from minimize orientation.
 
-
-def _solution(arr: _Arrays, x: np.ndarray, obj_min: float, status: Status) -> Solution:
-    values = {}
-    for vid in range(arr.n):
-        v = float(x[vid])
-        values[vid] = v
-    for vid in arr.int_ids:
-        values[int(vid)] = float(round(x[vid]))
-    obj = -obj_min if arr.maximize else obj_min
-    return Solution(values, obj, status)
-
-
-def _no_solution(arr: _Arrays, status: Status, wall: float, lp_iterations: int) -> SolveReport:
-    """Report without an incumbent: no nodes and the bound that ``status`` implies.
-
-    A stop on a limit reports an unknown bound, -inf in minimize orientation.
+    ``x`` is the incumbent, with objective ``obj_min`` and bound
+    ``bound_min``; it is clipped to the bounds here and its integer columns
+    rounded.  Without ``x`` the bound is the one ``status`` implies.
     """
-    bound_min = {
-        Status.INFEASIBLE: math.inf,
-        Status.NUMERICAL_FAILURE: math.nan,
-    }.get(status, -math.inf)
-    ext = -1.0 if arr.maximize else 1.0
-    return SolveReport(status, None, ext * bound_min, math.inf, 0, lp_iterations, wall)
+    if x is None:
+        bound = arr.sign * _NO_INCUMBENT_BOUND[status]
+        return SolveReport(status, None, bound, math.inf, nodes, iterations, wall)
+    x = np.clip(x, arr.lower, arr.upper)
+    # np.round keeps the sign of a value that rounds to zero; adding 0.0
+    # turns its -0.0 into 0.0
+    x[arr.int_ids] = np.round(x[arr.int_ids]) + 0.0
+    sol = Solution(dict(enumerate(x.tolist())), arr.sign * obj_min, status)
+    gap = abs(obj_min - bound_min) / max(1.0, abs(obj_min))
+    return SolveReport(status, sol, arr.sign * bound_min, gap, nodes, iterations, wall)
 
 
 _STATUS = {"kOptimal": Status.OPTIMAL, "kInfeasible": Status.INFEASIBLE,
@@ -193,12 +201,11 @@ def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> Sol
 
     options = options or SolveOptions()
     arr = _Arrays(model)
-    c, c0 = arr.csigned()
-    lower, upper, cptr = arr.lower, arr.upper, arr.cptr
-    if c0:
+    c, lower, upper, cptr = arr.c, arr.lower, arr.upper, arr.cptr
+    if arr.c0:
         # HiGHS measures its relative gap on the objective it is given, so the
         # constant rides along as a column fixed at 1
-        c = np.append(c, c0)
+        c = np.append(c, arr.c0)
         lower, upper = np.append(lower, 1.0), np.append(upper, 1.0)
         cptr = np.append(cptr, cptr[-1])
     n = c.size
@@ -231,7 +238,7 @@ def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> Sol
     if solver.passModel(lp) == highs.HighsStatus.kError:
         # HiGHS refuses the model (a column fixed at +inf, say); run() would
         # then solve an empty one
-        return _no_solution(arr, Status.NUMERICAL_FAILURE, time.perf_counter() - t0, 0)
+        return _report(arr, Status.NUMERICAL_FAILURE, 0, 0, time.perf_counter() - t0)
     solver.run()
     wall = time.perf_counter() - t0
     info = solver.getInfo()
@@ -243,17 +250,14 @@ def solve_milp(model: ModelInstance, options: SolveOptions | None = None) -> Sol
     # -1 when HiGHS ran no solver, as on an empty model
     iterations = max(0, info.simplex_iteration_count)
     if status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
-        return _no_solution(arr, status, wall, iterations)
+        return _report(arr, status, 0, iterations, wall)
 
-    x = np.clip(np.array(solver.getSolution().col_value)[: arr.n], arr.lower, arr.upper)
+    x = np.array(solver.getSolution().col_value)[: arr.n]
     obj_min = float(info.objective_function_value)
     # a model without integers reports no MIP bound
     bound_min = min(float(info.mip_dual_bound), obj_min) if is_mip else obj_min
     nodes = info.mip_node_count if is_mip else 0
-    sol = _solution(arr, x, obj_min, status)
-    ext = -1.0 if arr.maximize else 1.0
-    return SolveReport(status, sol, ext * bound_min, _gap(obj_min, bound_min), nodes,
-                       iterations, wall)
+    return _report(arr, status, nodes, iterations, wall, x, obj_min, bound_min)
 
 
 def brute_force_milp(model: ModelInstance, cap: int = BRUTE_FORCE_CAP) -> SolveReport:
@@ -263,7 +267,6 @@ def brute_force_milp(model: ModelInstance, cap: int = BRUTE_FORCE_CAP) -> SolveR
     than ``cap``.
     """
     arr = _Arrays(model)
-    c, c0 = arr.csigned()
     int_ids = [int(v) for v in arr.int_ids]
     spans = []
     for vid in int_ids:
@@ -291,7 +294,7 @@ def brute_force_milp(model: ModelInstance, cap: int = BRUTE_FORCE_CAP) -> SolveR
             val = bases[k] + combo[k]
             lo[vid] = up[vid] = val
         code, x, _, iters = solve_lp_csc(
-            arr.cptr, arr.crow, arr.cval, arr.m, arr.senses, arr.b, c, lo, up
+            arr.cptr, arr.crow, arr.cval, arr.m, arr.senses, arr.b, arr.c, lo, up
         )
         lp_iters += iters
         if code == LP_UNBOUNDED:
@@ -300,19 +303,17 @@ def brute_force_milp(model: ModelInstance, cap: int = BRUTE_FORCE_CAP) -> SolveR
         if code != LP_OPTIMAL:
             continue
         x = np.clip(x, lo, up)
-        obj = float(c @ x) + c0
+        obj = float(arr.c @ x) + arr.c0
         if obj < best_obj - 1e-12:
             best_obj = obj
             best_x = x
     wall = time.perf_counter() - t0
 
-    ext = -1.0 if arr.maximize else 1.0
     if unbounded:
-        return SolveReport(Status.UNBOUNDED, None, ext * -math.inf, math.inf, count, lp_iters, wall)
+        return _report(arr, Status.UNBOUNDED, count, lp_iters, wall)
     if best_x is None:
-        return SolveReport(Status.INFEASIBLE, None, ext * math.inf, math.inf, count, lp_iters, wall)
-    sol = _solution(arr, best_x, best_obj, Status.OPTIMAL)
-    return SolveReport(Status.OPTIMAL, sol, sol.objective, 0.0, count, lp_iters, wall)
+        return _report(arr, Status.INFEASIBLE, count, lp_iters, wall)
+    return _report(arr, Status.OPTIMAL, count, lp_iters, wall, best_x, best_obj, best_obj)
 
 
 def solve_model(model: ModelInstance, options: SolveOptions | None = None) -> SolveReport:

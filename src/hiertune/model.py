@@ -1,13 +1,15 @@
 """Mixed-integer linear models with piecewise-linearized power-law cost terms.
 
 A :class:`ModelInstance` is built incrementally (variables, linear
-constraints, piecewise cost terms, linear objective), sealed, and then
-handed to the solver in :mod:`hiertune.milp`.  Variables are looked up by
-name; constraints carry no name and are identified by their row index
-``cid``.  Concave ``prefactor * v**p`` cost terms are kept symbolic on the
-model, as breakpoint values, and expanded into the incremental (binary per
-segment) encoding by :meth:`ModelInstance.lowered`, which is exact at the
-breakpoints and linear in between.
+constraints, piecewise cost terms, linear objective) and then handed to the
+solver in :mod:`hiertune.milp`, which reads it into arrays on every solve.
+Every addition is checked as it is made: names, bounds, finiteness and row
+senses.  Variables are looked up by name; constraints carry no name and are
+identified by their row index ``cid``.  Concave ``prefactor * v**p`` cost
+terms are kept symbolic on the model, as breakpoint values, and expanded
+into the incremental (binary per segment) encoding by
+:meth:`ModelInstance.lowered`, which is exact at the breakpoints and linear
+in between.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "Sense",
     "Status",
     "ModelError",
-    "SealedModelError",
     "FixOutOfBoundsError",
     "Variable",
     "LinExpr",
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^\S+$")
+
+#: How far a value given to :meth:`ModelInstance.fix_variables` may lie
+#: outside its variable's bounds, or an integer's from the nearest integer.
+_FIX_TOL = 1e-6
 
 
 class Kind(str, enum.Enum):
@@ -66,10 +71,6 @@ _ROW_SENSES = (LE, EQ, GE)
 
 class ModelError(ValueError):
     """Malformed model construction or query."""
-
-
-class SealedModelError(ModelError):
-    """Mutation attempted on a sealed model."""
 
 
 class FixOutOfBoundsError(ModelError):
@@ -175,7 +176,12 @@ class SolveOptions:
 
 
 class ModelInstance:
-    """A mutable-until-sealed mixed-integer linear model."""
+    """A mixed-integer linear model.
+
+    The ``add_*`` methods and :meth:`set_bounds` change the model in place;
+    :meth:`lowered` and :meth:`fix_variables` leave it unchanged and return
+    derived models.  A solve reads the model as it stands when called.
+    """
 
     def __init__(self, name: str = "model", sense: Sense | str = Sense.MINIMIZE):
         self.name = name
@@ -185,7 +191,6 @@ class ModelInstance:
         self._cons: list[Constraint] = []
         self.objective = LinExpr()
         self._pwl: list[PiecewiseCostTerm] = []
-        self._sealed = False
 
     # -- introspection -------------------------------------------------
 
@@ -209,10 +214,6 @@ class ModelInstance:
     def n_constraints(self) -> int:
         return len(self._cons)
 
-    @property
-    def is_sealed(self) -> bool:
-        return self._sealed
-
     def var(self, vid: int) -> Variable:
         return self._vars[vid]
 
@@ -227,10 +228,6 @@ class ModelInstance:
 
     # -- construction ---------------------------------------------------
 
-    def _check_open(self):
-        if self._sealed:
-            raise SealedModelError(f"model {self.name!r} is sealed")
-
     def add_variable(
         self,
         name: str,
@@ -238,7 +235,6 @@ class ModelInstance:
         lower: float = 0.0,
         upper: float = math.inf,
     ) -> int:
-        self._check_open()
         kind = Kind(kind)
         if not _NAME_RE.match(name):
             raise ModelError(f"bad variable name {name!r} (whitespace/empty not allowed)")
@@ -255,7 +251,6 @@ class ModelInstance:
         return vid
 
     def set_bounds(self, vid: int, lower: float, upper: float) -> None:
-        self._check_open()
         if lower > upper:
             raise ModelError(f"inverted bounds [{lower}, {upper}]")
         v = self._vars[vid]
@@ -271,7 +266,6 @@ class ModelInstance:
 
         A constant in ``expr`` moves to the right-hand side.
         """
-        self._check_open()
         if sense not in _ROW_SENSES:
             raise ModelError(f"bad row sense {sense!r}")
         rhs = float(rhs)
@@ -290,13 +284,11 @@ class ModelInstance:
         return con
 
     def add_objective_term(self, vid: int, coef: float) -> None:
-        self._check_open()
         if not 0 <= vid < len(self._vars):
             raise ModelError(f"objective references unknown variable id {vid}")
         self.objective.add_term(vid, coef)
 
     def add_objective_constant(self, value: float) -> None:
-        self._check_open()
         self.objective.constant += float(value)
 
     def add_pwl_power_cost(
@@ -311,7 +303,6 @@ class ModelInstance:
         Breakpoints are spaced uniformly over the variable's range, which must
         start at 0 and be bounded above.
         """
-        self._check_open()
         v = self._vars[vid]
         if v.kind is not Kind.CONTINUOUS:
             raise ModelError(f"piecewise cost requires a continuous variable, got {v.kind}")
@@ -331,10 +322,6 @@ class ModelInstance:
         self._pwl.append(term)
         return term
 
-    def seal(self) -> "ModelInstance":
-        self._sealed = True
-        return self
-
     # -- derived models -------------------------------------------------
 
     def _clone(self) -> "ModelInstance":
@@ -346,18 +333,12 @@ class ModelInstance:
         out._pwl = list(self._pwl)
         return out
 
-    def fix_variables(
-        self,
-        assignments: Mapping[int, float],
-        feasibility_tolerance: float = 1e-6,
-        integrality_tolerance: float = 1e-6,
-    ) -> "ModelInstance":
+    def fix_variables(self, assignments: Mapping[int, float]) -> "ModelInstance":
         """Return a new model with each listed variable pinned to its value.
 
         Integer-kind targets are rounded to the nearest integer when within
-        the integrality tolerance; values outside the variable's bounds by
-        more than the feasibility tolerance raise
-        :class:`FixOutOfBoundsError`.
+        ``_FIX_TOL`` of it; values outside the variable's bounds by more
+        than ``_FIX_TOL`` raise :class:`FixOutOfBoundsError`.
         """
         out = self._clone()
         for vid, value in assignments.items():
@@ -365,19 +346,17 @@ class ModelInstance:
             value = float(value)
             if v.is_integer:
                 nearest = round(value)
-                if abs(value - nearest) > integrality_tolerance:
+                if abs(value - nearest) > _FIX_TOL:
                     raise FixOutOfBoundsError(
                         f"cannot fix integer variable {v.name!r} to fractional {value}"
                     )
                 value = float(nearest)
-            if value < v.lower - feasibility_tolerance or value > v.upper + feasibility_tolerance:
+            if value < v.lower - _FIX_TOL or value > v.upper + _FIX_TOL:
                 raise FixOutOfBoundsError(
                     f"value {value} outside bounds [{v.lower}, {v.upper}] of {v.name!r}"
                 )
             value = min(max(value, v.lower), v.upper)
             out._vars[vid] = replace(v, lower=value, upper=value)
-        if self._sealed:
-            out.seal()
         return out
 
     def lowered(self) -> "ModelInstance":
@@ -413,6 +392,4 @@ class ModelInstance:
                 yid = out.add_variable(f"{base}.y{k}", Kind.BINARY, 0.0, 1.0)
                 out.add_constraint({dids[k]: 1.0, yid: -w_k}, GE, 0.0)
                 out.add_constraint({dids[k + 1]: 1.0, yid: -w_next}, LE, 0.0)
-        if self._sealed:
-            out.seal()
         return out

@@ -490,7 +490,7 @@ def build_full_space(
     model = ModelInstance(f"rtn-full-{demand.days}d", "minimize")
     vessel_vid, storage_vid = _add_design(model, network, n_breakpoints, rho=None)
     _add_week_block(model, network, demand, hours_per_day, "", 1.0, vessel_vid, storage_vid)
-    return model.seal()
+    return model
 
 
 def build_multiweek_full_space(
@@ -513,7 +513,7 @@ def build_multiweek_full_space(
         _add_week_block(
             model, network, week, hours_per_day, f"w{k}.", weight, vessel_vid, storage_vid
         )
-    return model.seal()
+    return model
 
 
 def build_high_level(
@@ -653,7 +653,7 @@ def build_high_level(
         coef = rho.demand_penalty * pen * price
         if coef != 0:
             model.add_objective_term(vid, coef)
-    return model.seal()
+    return model
 
 
 def build_low_level(
@@ -721,12 +721,11 @@ def concat_demand_approach2(weeks: Sequence[DemandProfile]) -> DemandProfile:
     return DemandProfile(days * len(weeks), by_product)
 
 
-def extract_design(
-    model: ModelInstance,
-    solution: Solution,
-    network: RtnNetwork,
-    feasibility_tolerance: float = 1e-6,
-) -> RtnDesign:
+#: How far outside [0, cap] a solved design size may lie and still be clamped.
+_DESIGN_TOL = 1e-6
+
+
+def extract_design(model: ModelInstance, solution: Solution, network: RtnNetwork) -> RtnDesign:
     """Read the least design a high-level solution needs.
 
     Each vessel and storage size shrinks to the smallest value that keeps
@@ -734,14 +733,14 @@ def extract_design(
     enter the high level only through ``E <= K*Vmax``, the ``bmin`` rows and
     ``X <= Xmax``, and no cost falls as a size shrinks, so the result is
     still a high-level optimum; and it does not depend on where the solver
-    left a size that has no price.  Values within tolerance outside
+    left a size that has no price.  Values within ``_DESIGN_TOL`` outside
     [0, cap] are clamped; an unusable solution status is an error.
     """
     if solution.status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
         raise ModelError(f"cannot extract a design from a {solution.status.value} solution")
 
     def _clamp(value: float, cap: float, what: str) -> float:
-        if value < -feasibility_tolerance or value > cap + feasibility_tolerance:
+        if value < -_DESIGN_TOL or value > cap + _DESIGN_TOL:
             raise ModelError(f"{what} value {value} outside [0, {cap}]")
         return min(max(value, 0.0), cap)
 

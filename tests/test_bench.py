@@ -1,0 +1,25 @@
+"""The benchmark runs on this tree and reads every per-layer metric it declares.
+
+``bench/spans.py`` wraps functions of ``hiertune`` by name, so a rename there
+would break the benchmark without breaking any other test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_benchmark_round_is_correct_and_complete():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "bench/run.py", "--workload", "pso-threads", "--seed", "0",
+            "--seconds", "0", "--trace", "1"]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0, proc.stderr
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {m["name"] for m in declared} <= result["metrics"].keys()

@@ -37,7 +37,7 @@ def toy_problem(infeasible_below=None, maximize=False, target=3.0):
         m.add_constraint({t: 1.0, x: 1.0}, GE, rho[0])
         if infeasible_below is not None and rho[0] < infeasible_below:
             m.add_constraint({x: 1.0}, GE, 11.0)
-        return m.seal()
+        return m
 
     def extract(model, solution):
         return solution.values[model.variable_id("x")]
@@ -51,7 +51,7 @@ def toy_problem(infeasible_below=None, maximize=False, target=3.0):
         if maximize:
             # maximize -u has optimum -dist; engine should negate back
             pass
-        return [(1.0, m.seal())]
+        return [(1.0, m)]
 
     return TwoLevelProblem(
         bounds=bounds,
@@ -90,7 +90,7 @@ def test_sentinel_on_infeasible_low_level():
         m = ModelInstance("bad-low", "minimize")
         u = m.add_variable("u", Kind.CONTINUOUS, 0, 1)
         m.add_constraint({u: 1.0}, GE, 2.0)
-        return [(1.0, m.seal())]
+        return [(1.0, m)]
 
     prob = dataclasses.replace(prob, build_lows=bad_lows)
     res = evaluate(prob, np.array([5.0]))

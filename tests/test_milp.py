@@ -44,7 +44,7 @@ def random_tiny_milp(rng, n_bin=None, n_cont=None, n_rows=None, maximize=None, c
         sense = (LE, GE, EQ)[int(rng.integers(0, 3))]
         m.add_constraint(expr, sense, float(rng.normal() * 2))
     m.add_objective_constant(constant)
-    return m.seal()
+    return m
 
 
 def hard_knapsack(seed, constant=0.0):
@@ -58,7 +58,7 @@ def hard_knapsack(seed, constant=0.0):
         m.add_objective_term(vid, float(pk))
     m.add_constraint({vid: float(wk) for vid, wk in zip(ids, w)}, LE, float(w.sum() / 2))
     m.add_objective_constant(constant)
-    return m.seal()
+    return m
 
 
 def test_lp_examples():
@@ -66,7 +66,7 @@ def test_lp_examples():
     x = m.add_variable("x", Kind.CONTINUOUS, 0, 10)
     m.add_objective_term(x, 1.0)
     m.add_constraint({x: 1.0}, GE, 3.0)
-    rep = brute_force_milp(m.seal())
+    rep = brute_force_milp(m)
     assert rep.status is Status.OPTIMAL
     assert rep.incumbent.objective == pytest.approx(3.0, abs=1e-9)
 
@@ -76,13 +76,13 @@ def test_lp_examples():
     m.add_objective_term(x, 1.0)
     m.add_objective_term(y, 1.0)
     m.add_constraint({x: 1.0, y: 1.0}, LE, 1.0)
-    rep = brute_force_milp(m.seal())
+    rep = brute_force_milp(m)
     assert rep.incumbent.objective == pytest.approx(1.0, abs=1e-9)
 
     m = ModelInstance()
     x = m.add_variable("x", Kind.CONTINUOUS, 0, 10)
     m.add_constraint({x: 1.0}, LE, -1.0)
-    rep = brute_force_milp(m.seal())
+    rep = brute_force_milp(m)
     assert rep.status is Status.INFEASIBLE
     assert rep.incumbent is None
 
@@ -91,7 +91,7 @@ def test_lp_unbounded():
     m = ModelInstance()
     x = m.add_variable("x", Kind.CONTINUOUS, 0, math.inf)
     m.add_objective_term(x, -1.0)
-    rep = brute_force_milp(m.seal())
+    rep = brute_force_milp(m)
     assert rep.status is Status.UNBOUNDED
 
 
@@ -102,7 +102,6 @@ def test_milp_knapsack():
     m.add_objective_term(a, 3.0)
     m.add_objective_term(b, 2.0)
     m.add_constraint({a: 2.0, b: 2.0}, LE, 3.0)
-    m.seal()
     rep = solve_milp(m)
     assert rep.status is Status.OPTIMAL
     assert rep.incumbent.objective == pytest.approx(3.0)
@@ -118,7 +117,7 @@ def test_milp_binary_pair():
     m.add_objective_term(x, 1.0)
     m.add_objective_term(y, 1.0)
     m.add_constraint({x: 1.0, y: 1.0}, LE, 1.0)
-    rep = solve_milp(m.seal())
+    rep = solve_milp(m)
     assert rep.incumbent.objective == pytest.approx(1.0)
 
 
@@ -127,7 +126,6 @@ def test_brute_force_no_integers_matches_lp():
     x = m.add_variable("x", Kind.CONTINUOUS, 0, 4)
     m.add_objective_term(x, -1.0)
     m.add_constraint({x: 2.0}, LE, 5.0)
-    m.seal()
     assert brute_force_milp(m).incumbent.objective == pytest.approx(
         solve_milp(m).incumbent.objective
     )
@@ -137,13 +135,11 @@ def test_brute_force_infeasible_and_cap():
     m = ModelInstance()
     x = m.add_variable("x", Kind.BINARY, 0, 1)
     m.add_constraint({x: 1.0}, GE, 2.0)
-    m.seal()
     assert brute_force_milp(m).status is Status.INFEASIBLE
 
     m2 = ModelInstance()
     for k in range(8):
         m2.add_variable(f"b{k}", Kind.BINARY, 0, 1)
-    m2.seal()
     with pytest.raises(ModelError):
         brute_force_milp(m2, cap=100)
 
@@ -198,7 +194,6 @@ def test_lp_certificate_randomized():
                 sign = 1.0 if sense == LE else -1.0
                 A_ub.append([sign * expr.get(vid, 0.0) for vid in ids])
                 b_ub.append(sign * rhs)
-        m.seal()
         rep = brute_force_milp(m)
         if rep.status is not Status.OPTIMAL:
             continue
@@ -356,6 +351,48 @@ def test_node_limit_reports_limit_status():
     assert rep.gap > 0
 
 
+@pytest.mark.parametrize("sense, bound", [("minimize", -math.inf), ("maximize", math.inf)])
+def test_lp_stopped_on_a_limit_has_no_incumbent(monkeypatch, sense, bound):
+    # HiGHS leaves the point it stopped at in an LP's solution; that point
+    # is no incumbent, and the bound of the unfinished LP is unknown
+    class IterationLimited(highs._Highs):
+        def passOptions(self, options):
+            options.simplex_iteration_limit = 1
+            options.presolve = "off"
+            return super().passOptions(options)
+
+    m = ModelInstance("alloc", sense)
+    sign = -1.0 if sense == "maximize" else 1.0
+    ids = [m.add_variable(f"x{j}", Kind.CONTINUOUS, 0, 4) for j in range(6)]
+    for vid, profit in zip(ids, (5, 4, 6, 3, 4, 5)):
+        m.add_objective_term(vid, -sign * profit)
+    for row, cap in (((2, 1, 1, 3, 1, 2), 10), ((1, 3, 2, 1, 2, 1), 12),
+                     ((1, 1, 3, 2, 1, 3), 9), ((3, 2, 1, 1, 2, 1), 11)):
+        m.add_constraint(dict(zip(ids, row)), LE, cap)
+    assert solve_milp(m).lp_iterations > 1
+    monkeypatch.setattr(highs, "_Highs", IterationLimited)
+    rep = solve_milp(m)
+    assert rep.status is Status.NO_INCUMBENT
+    assert rep.incumbent is None and rep.best_bound == bound
+
+
+@pytest.mark.parametrize("solve", [solve_milp, brute_force_milp])
+@pytest.mark.parametrize("sense, sign", [("minimize", 1.0), ("maximize", -1.0)])
+def test_bound_without_incumbent(solve, sense, sign):
+    # an infeasible model's bound is the worst objective of its sense, an
+    # unbounded one's the best
+    m = ModelInstance("infeasible", sense)
+    x = m.add_variable("x", Kind.CONTINUOUS, 0, 10)
+    m.add_constraint({x: 1.0}, LE, -1.0)
+    rep = solve(m)
+    assert (rep.status, rep.incumbent, rep.best_bound) == (Status.INFEASIBLE, None, sign * math.inf)
+    m = ModelInstance("unbounded", sense)
+    x = m.add_variable("x", Kind.CONTINUOUS, 0, math.inf)
+    m.add_objective_term(x, -sign)
+    rep = solve(m)
+    assert (rep.status, rep.incumbent, rep.best_bound) == (Status.UNBOUNDED, None, -sign * math.inf)
+
+
 def test_gap_counts_objective_constant():
     # a constant that nearly cancels the objective: a 1 % gap on the raw
     # objective would be a gap of tens of percent on the true one
@@ -399,7 +436,7 @@ def test_model_highs_refuses_is_a_failure():
     y = m.add_variable("y", Kind.INTEGER, 0, 3)
     m.add_objective_term(y, 1.0)
     m.add_constraint({x: 1.0, y: 1.0}, LE, 5.0)
-    rep = solve_milp(m.seal())
+    rep = solve_milp(m)
     assert rep.status is Status.NUMERICAL_FAILURE
     assert rep.incumbent is None and math.isnan(rep.best_bound)
 
@@ -455,7 +492,7 @@ def _equivalence_cases():
     m = ModelInstance()
     x = m.add_variable("x", Kind.BINARY, 0, 1)
     m.add_constraint({x: 1.0}, GE, 2.0)
-    yield m.seal(), default, Status.INFEASIBLE
+    yield m, default, Status.INFEASIBLE
     # HiGHS tells an unbounded LP, but not an unbounded MIP from an infeasible one
     for kind, status in ((Kind.CONTINUOUS, Status.UNBOUNDED), (Kind.BINARY, Status.NUMERICAL_FAILURE)):
         m = ModelInstance()
@@ -463,7 +500,7 @@ def _equivalence_cases():
         y = m.add_variable("y", kind, 0, 1)
         m.add_objective_term(x, -1.0)
         m.add_constraint({x: 1.0, y: -1.0}, GE, 0.0)
-        yield m.seal(), default, status
+        yield m, default, status
     yield hard_knapsack(9), SolveOptions(node_limit=1, mip_gap=1e-9), Status.FEASIBLE_GAP
 
 
@@ -502,7 +539,6 @@ def test_solve_model_projects_pwl_vars():
     v = m.add_variable("v", Kind.CONTINUOUS, 0, 8)
     m.add_pwl_power_cost(v, 2.0, 0.6, 5)
     m.add_constraint({v: 1.0}, GE, 3.0)
-    m.seal()
     rep = solve_model(m)
     assert rep.status is Status.OPTIMAL
     assert set(rep.incumbent.values) == {v}

@@ -10,7 +10,6 @@ from hiertune.model import (
     LinExpr,
     ModelError,
     ModelInstance,
-    SealedModelError,
     SolveOptions,
 )
 
@@ -64,23 +63,12 @@ def test_constant_folded_into_rhs():
     assert con.rhs == 3.0 and con.expr.constant == 0.0
 
 
-def test_sealing_blocks_mutation():
+def test_fix_variables_rules():
     m, x, y = small_model()
-    m.seal()
-    with pytest.raises(SealedModelError):
-        m.add_variable("z")
-    with pytest.raises(SealedModelError):
-        m.add_constraint({x: 1.0}, LE, 1.0)
-    with pytest.raises(SealedModelError):
-        m.add_pwl_power_cost(x, 1.0)
     fixed = m.fix_variables({x: 3.0})
     assert fixed is not m
     assert fixed.var(x).lower == fixed.var(x).upper == 3.0
     assert m.var(x).lower == 0.0  # original untouched
-
-
-def test_fix_variables_rules():
-    m, x, y = small_model()
     fixed = m.fix_variables({y: 0.0})
     assert fixed.var(y).upper == 0.0
     fixed = m.fix_variables({x: 7.3})
@@ -196,10 +184,8 @@ def test_lowered_structure():
     m = ModelInstance()
     v = m.add_variable("v", Kind.CONTINUOUS, 0, 100)
     m.add_pwl_power_cost(v, 3.0, 0.6, 5)
-    m.seal()
     low = m.lowered()
     assert low is not m
-    assert low.is_sealed
     assert not low.pwl_terms
     # 4 segments: 4 fill variables + 3 ordering binaries
     assert low.n_variables == 1 + 4 + 3
@@ -208,5 +194,4 @@ def test_lowered_structure():
     # no terms: lowering is the identity
     m2 = ModelInstance()
     m2.add_variable("x")
-    m2.seal()
     assert m2.lowered() is m2

@@ -411,7 +411,6 @@ def test_high_level_nagg_cap_cuts_no_optimum():
     for v in loose.variables:
         if v.kind is Kind.INTEGER:
             relaxed.set_bounds(v.vid, 0.0, 3.0 * v.upper)
-    relaxed.seal()
     got = brute_force_milp(relaxed.lowered())
     assert got.incumbent.objective == pytest.approx(want.incumbent.objective, abs=1e-6)
 
