@@ -63,12 +63,25 @@ def test_constant_folded_into_rhs():
     assert con.rhs == 3.0 and con.expr.constant == 0.0
 
 
-def test_fix_variables_rules():
+def test_sealing_blocks_mutation():
+    # Models have no sealed state; what it guarded stays: building on a
+    # derived model never mutates the model it came from.
     m, x, y = small_model()
     fixed = m.fix_variables({x: 3.0})
     assert fixed is not m
     assert fixed.var(x).lower == fixed.var(x).upper == 3.0
     assert m.var(x).lower == 0.0  # original untouched
+    z = fixed.add_variable("z", Kind.CONTINUOUS, 0, 10)
+    fixed.add_constraint({x: 1.0}, LE, 1.0)
+    fixed.add_objective_term(x, 5.0)
+    fixed.add_pwl_power_cost(z, 1.0)
+    assert (m.n_variables, m.n_constraints) == (2, 1)
+    assert not m.pwl_terms
+    assert m.objective.terms == {x: 2.0, y: -1.0}
+
+
+def test_fix_variables_rules():
+    m, x, y = small_model()
     fixed = m.fix_variables({y: 0.0})
     assert fixed.var(y).upper == 0.0
     fixed = m.fix_variables({x: 7.3})
