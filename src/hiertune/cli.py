@@ -67,7 +67,7 @@ class _Setting(NamedTuple):
 
 
 #: Every setting a subcommand may read: its default, its type, its closed
-#: range and, for a string, the choices its flag takes.  Every numeric value
+#: range and, for a string, the choices it takes.  Every numeric value
 #: must be finite; one whose default is None may also be null.  Ranges are
 #: given only where nothing else rejects a value with a message: the ``gen``
 #: settings the loader would reject in the written file, and the seed, which
@@ -100,6 +100,9 @@ _PATH_FLAGS = {
     "instance": "instance JSON path",
     "out": "output directory (or file for gen/report)",
 }
+
+#: Config keys that name files; ``source`` is ``--from``.
+_PATH_KEYS = ("instance", "out", "source")
 
 
 class CliError(ValueError):
@@ -149,23 +152,29 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """The subcommand's settings: each flag it declares, read from the flag,
-    else from the ``--config`` file, else from the defaults; numbers converted."""
+    """The subcommand's settings, each from its flag, else the ``--config``
+    file, else the default; numbers converted, choices and paths checked."""
     flags = {k: v for k, v in vars(args).items() if k not in ("config", "func")}
     cfg = {key: _SETTINGS[key].default if key in _SETTINGS else None for key in flags}
     if args.config:
         loaded = _read_object(args.config, "config")
-        unknown = set(loaded) - set(_SETTINGS) - {"instance", "mode", "out", "source"}
+        unknown = set(loaded) - set(_SETTINGS) - {"mode", *_PATH_KEYS}
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
         cfg.update((key, value) for key, value in loaded.items() if key in flags)
     cfg.update((key, value) for key, value in flags.items() if value is not None)
-    # in declared order, so that of several bad values the same one is reported
+    # in declared order, so that of several bad values the same one is reported;
+    # initial_rho is left to _rho, which also reads a list of numbers
     for key, setting in _SETTINGS.items():
-        if key not in cfg or setting.kind is str:
+        if key not in cfg:
             continue
-        if cfg[key] is not None or setting.default is not None:
+        if setting.choices is not None and cfg[key] not in setting.choices:
+            raise CliError(f"{key}: expected one of {list(setting.choices)}, got {cfg[key]!r}")
+        if setting.kind is not str and (cfg[key] is not None or setting.default is not None):
             cfg[key] = _number(key, cfg[key], setting)
+    for key in _PATH_KEYS:
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise CliError(f"{key}: expected a path string, got {cfg[key]!r}")
     return cfg
 
 

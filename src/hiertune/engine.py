@@ -35,13 +35,13 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .dfo import BoxDomain, DfoConfig, DomainError, run_dfo
 from .milp import SolveReport, solve_model
-from .model import ModelInstance, Sense, Solution, SolveOptions
+from .model import ModelInstance, Sense, SolveOptions
 
 __all__ = [
     "TwoLevelProblem",
@@ -61,18 +61,18 @@ class TwoLevelProblem:
     """The pair of model builders wrapped as a black box over parameters.
 
     ``build_high(rho)`` returns the parameterized high-level model;
-    ``extract(model, solution)`` pulls the decisions to pin; ``build_lows``
-    returns weighted low-level sub-models for those decisions.  Decisions
-    must be hashable, and decisions that compare equal must give the same
-    low-level models: ``tune`` solves them once per distinct decision.
-    Weights must be positive and sum to 1.  An evaluation with no usable
-    solve scores ``SENTINEL``, which must exceed any attainable true
-    objective (the problem author's responsibility).
+    ``extract(model, values)`` pulls the decisions to pin from the values of
+    its incumbent; ``build_lows`` returns weighted low-level sub-models for
+    those decisions.  Decisions must be hashable, and decisions that compare
+    equal must give the same low-level models: ``tune`` solves them once per
+    distinct decision.  Weights must be positive and sum to 1.  An evaluation
+    with no usable solve scores ``SENTINEL``, which must exceed any
+    attainable true objective (the problem author's responsibility).
     """
 
     bounds: BoxDomain
     build_high: Callable[[np.ndarray], ModelInstance]
-    extract: Callable[[ModelInstance, Solution], Any]
+    extract: Callable[[ModelInstance, Mapping[int, float]], Any]
     build_lows: Callable[[Any], Sequence[tuple[float, ModelInstance]]]
     high_options: SolveOptions = SolveOptions()
     low_options: SolveOptions = SolveOptions()
@@ -199,7 +199,7 @@ def evaluate(
     if high_report.incumbent is None:
         return EvalResult(rho_t, SENTINEL, False, None, high_report, [], t_high, 0.0, index)
 
-    decision = problem.extract(high_model, high_report.incumbent)
+    decision = problem.extract(high_model, high_report.incumbent.values)
     t1 = time.perf_counter()
     weekly = _solve_lows(problem, decision) if designs is None else designs(decision)
     t_low = time.perf_counter() - t1

@@ -173,7 +173,7 @@ def _report(
     # np.round keeps the sign of a value that rounds to zero; adding 0.0
     # turns its -0.0 into 0.0
     x[arr.int_ids] = np.round(x[arr.int_ids]) + 0.0
-    sol = Solution(dict(enumerate(x.tolist())), arr.sign * obj_min, status)
+    sol = Solution(dict(enumerate(x.tolist())), arr.sign * obj_min)
     gap = abs(obj_min - bound_min) / max(1.0, abs(obj_min))
     return SolveReport(status, sol, arr.sign * bound_min, gap, nodes, iterations, wall)
 

@@ -152,11 +152,11 @@ class PiecewiseCostTerm:
 
 @dataclass
 class Solution:
-    """Variable assignment returned by a solve."""
+    """A solve's incumbent: the value of every variable, by ``vid``, and the
+    objective there in the model's own sense.  Its status is the report's."""
 
     values: dict[int, float]
     objective: float
-    status: Status
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class SolveOptions:
 class ModelInstance:
     """A mixed-integer linear model.
 
-    The ``add_*`` methods and :meth:`set_bounds` change the model in place;
+    The ``add_*`` methods change the model in place;
     :meth:`lowered` and :meth:`fix_variables` leave it unchanged and return
     derived models.  A solve reads the model as it stands when called.
     """
@@ -249,12 +249,6 @@ class ModelInstance:
         self._vars.append(Variable(vid, name, kind, lower, upper))
         self._by_name[name] = vid
         return vid
-
-    def set_bounds(self, vid: int, lower: float, upper: float) -> None:
-        if lower > upper:
-            raise ModelError(f"inverted bounds [{lower}, {upper}]")
-        v = self._vars[vid]
-        self._vars[vid] = replace(v, lower=float(lower), upper=float(upper))
 
     def add_constraint(
         self,
@@ -351,7 +345,8 @@ class ModelInstance:
                         f"cannot fix integer variable {v.name!r} to fractional {value}"
                     )
                 value = float(nearest)
-            if value < v.lower - _FIX_TOL or value > v.upper + _FIX_TOL:
+            # written as a comparison that NaN fails
+            if not v.lower - _FIX_TOL <= value <= v.upper + _FIX_TOL:
                 raise FixOutOfBoundsError(
                     f"value {value} outside bounds [{v.lower}, {v.upper}] of {v.name!r}"
                 )

@@ -4,11 +4,13 @@ A network of tasks transforms materials (feed -> intermediates -> products)
 inside capacity-limited vessels.  Vessel and storage capacities are one-time
 design decisions with concave (``cost * size**0.6``) amortized investment
 cost; scheduling runs on an hourly grid with daily demand that may be left
-unmet against a penalty.  Three model builders share the data:
+unmet against a penalty.  Four model builders share the data:
 
-* :func:`build_full_space` - hourly scheduling plus design, one model.
+* :func:`build_multiweek_full_space` - hourly scheduling of every scenario
+  week (week ``k``'s variables prefixed ``wk.``) plus one shared design.
+* :func:`build_full_space` - that model on one week.
 * :func:`build_high_level` - daily aggregation with tunable cost prefactors.
-* :func:`build_low_level` - the full-space model with the design pinned.
+* :func:`build_low_level` - the one-week model with the design pinned.
 
 Cost orientation is *minimize net cost*; profit is the negative objective.
 """
@@ -29,8 +31,6 @@ from .model import (
     Kind,
     ModelError,
     ModelInstance,
-    Solution,
-    Status,
 )
 
 __all__ = [
@@ -248,16 +248,6 @@ class RtnDesign:
     def __hash__(self) -> int:
         # by value, consistent with the generated __eq__ on the two dicts
         return hash((frozenset(self.vessel_size.items()), frozenset(self.storage_size.items())))
-
-    def validate(self, network: RtnNetwork, tol: float = 1e-6) -> None:
-        for v in network.vessels:
-            size = self.vessel_size.get(v.name, 0.0)
-            if not -tol <= size <= v.cap + tol:
-                raise ModelError(f"vessel size {size} outside [0, {v.cap}] for {v.name!r}")
-        for m in network.materials:
-            size = self.storage_size.get(m.name, 0.0)
-            if not -tol <= size <= m.storage_cap + tol:
-                raise ModelError(f"storage size {size} outside [0, {m.storage_cap}] for {m.name!r}")
 
 
 # ρ1..ρ6 bounds: penalty/vessel-class/storage prefactors max 30, startup max 50
@@ -485,12 +475,10 @@ def build_full_space(
     hours_per_day: int = 24,
     n_breakpoints: int = 8,
 ) -> ModelInstance:
-    """Integrated hourly scheduling + design model for one demand profile."""
-    demand.validate(network)
-    model = ModelInstance(f"rtn-full-{demand.days}d", "minimize")
-    vessel_vid, storage_vid = _add_design(model, network, n_breakpoints, rho=None)
-    _add_week_block(model, network, demand, hours_per_day, "", 1.0, vessel_vid, storage_vid)
-    return model
+    """:func:`build_multiweek_full_space` on the single week ``demand``."""
+    return build_multiweek_full_space(
+        network, ScenarioSet.uniform([demand]), hours_per_day, n_breakpoints
+    )
 
 
 def build_multiweek_full_space(
@@ -663,16 +651,13 @@ def build_low_level(
     hours_per_day: int = 24,
     n_breakpoints: int = 8,
 ) -> ModelInstance:
-    """Full-space model with the design pinned; investment cost stays in the
+    """One-week full-space model with the design pinned by ``fix_variables``,
+    which rejects a size outside ``[0, cap]``; investment cost stays in the
     objective so the optimum is the true integrated cost of that design."""
-    design.validate(network)
     model = build_full_space(network, demand, hours_per_day, n_breakpoints)
-    fixing = {}
-    for v in network.vessels:
-        fixing[model.variable_id(f"Vmax[{v.name}]")] = design.vessel_size.get(v.name, 0.0)
-    for m in network.materials:
-        fixing[model.variable_id(f"Xmax[{m.name}]")] = design.storage_size.get(m.name, 0.0)
-    return model.fix_variables(fixing)
+    sizes = [(f"Vmax[{v.name}]", design.vessel_size.get(v.name, 0.0)) for v in network.vessels]
+    sizes += [(f"Xmax[{m.name}]", design.storage_size.get(m.name, 0.0)) for m in network.materials]
+    return model.fix_variables({model.variable_id(name): size for name, size in sizes})
 
 
 def decompose_by_week(
@@ -721,47 +706,34 @@ def concat_demand_approach2(weeks: Sequence[DemandProfile]) -> DemandProfile:
     return DemandProfile(days * len(weeks), by_product)
 
 
-#: How far outside [0, cap] a solved design size may lie and still be clamped.
-_DESIGN_TOL = 1e-6
-
-
-def extract_design(model: ModelInstance, solution: Solution, network: RtnNetwork) -> RtnDesign:
+def extract_design(
+    model: ModelInstance, values: Mapping[int, float], network: RtnNetwork
+) -> RtnDesign:
     """Read the least design a high-level solution needs.
 
+    ``values`` is a solve's incumbent, which :mod:`hiertune.milp` has already
+    clipped to the variable bounds, so every size starts in ``[0, cap]``.
     Each vessel and storage size shrinks to the smallest value that keeps
     every row of ``model`` satisfied at the solution's other values.  Sizes
     enter the high level only through ``E <= K*Vmax``, the ``bmin`` rows and
     ``X <= Xmax``, and no cost falls as a size shrinks, so the result is
     still a high-level optimum; and it does not depend on where the solver
-    left a size that has no price.  Values within ``_DESIGN_TOL`` outside
-    [0, cap] are clamped; an unusable solution status is an error.
+    left a size that has no price.
     """
-    if solution.status not in (Status.OPTIMAL, Status.FEASIBLE_GAP):
-        raise ModelError(f"cannot extract a design from a {solution.status.value} solution")
-
-    def _clamp(value: float, cap: float, what: str) -> float:
-        if value < -_DESIGN_TOL or value > cap + _DESIGN_TOL:
-            raise ModelError(f"{what} value {value} outside [0, {cap}]")
-        return min(max(value, 0.0), cap)
-
-    vessels = {v.name: (model.variable_id(f"Vmax[{v.name}]"), v.cap) for v in network.vessels}
-    storage = {
-        m.name: (model.variable_id(f"Xmax[{m.name}]"), m.storage_cap) for m in network.materials
-    }
-    rows: dict[int, list] = {vid: [] for vid, _ in (*vessels.values(), *storage.values())}
+    vessels = {v.name: model.variable_id(f"Vmax[{v.name}]") for v in network.vessels}
+    storage = {m.name: model.variable_id(f"Xmax[{m.name}]") for m in network.materials}
+    rows: dict[int, list] = {vid: [] for vid in (*vessels.values(), *storage.values())}
     for con in model.constraints:
         for vid in rows.keys() & con.expr.terms.keys():
             rows[vid].append(con)
-    values = dict(solution.values)
+    values = dict(values)
 
-    def _least(vid: int, cap: float, what: str) -> float:
-        values[vid] = min(_clamp(values[vid], cap, what), _least_value(vid, rows[vid], values))
+    def _least(vid: int) -> float:
+        values[vid] = min(values[vid], _least_value(vid, rows[vid], values))
         return values[vid]
 
-    vessel_size = {name: _least(vid, cap, f"vessel {name!r}") for name, (vid, cap) in vessels.items()}
-    storage_size = {
-        name: _least(vid, cap, f"storage {name!r}") for name, (vid, cap) in storage.items()
-    }
+    vessel_size = {name: _least(vid) for name, vid in vessels.items()}
+    storage_size = {name: _least(vid) for name, vid in storage.items()}
     return RtnDesign(vessel_size, storage_size)
 
 
@@ -814,8 +786,8 @@ def make_two_level_problem(
             network, high_demand, rho, hours_per_day, n_breakpoints, week_length
         )
 
-    def extract(model: ModelInstance, solution: Solution) -> RtnDesign:
-        return extract_design(model, solution, network)
+    def extract(model: ModelInstance, values: Mapping[int, float]) -> RtnDesign:
+        return extract_design(model, values, network)
 
     def build_lows(design: RtnDesign):
         return decompose_by_week(network, scenarios, design, hours_per_day, n_breakpoints)

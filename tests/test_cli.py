@@ -335,6 +335,29 @@ def test_malformed_json_input_exits_2(tmp_path, instance, mode, content):
     assert not (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "mode, content",
+    [("tune", {"dfo": ["pso"]}), ("tune", {"dfo": "nelder-mead"}), ("tune", {"aggregation": 5}),
+     ("tune", {"instance": 5}), ("tune", {"out": 5}), ("transfer", {"source": 5})],
+    ids=["dfo-list", "dfo-unknown", "aggregation-number", "instance-number", "out-number",
+         "source-number"],
+)
+def test_config_value_of_wrong_type_exits_2(tmp_path, instance, monkeypatch, capsys, mode,
+                                            content):
+    # without an --out flag the error record goes under runs/ in the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    argv = [mode, "--config", cfg, "--budget", 1] + FAST
+    if "instance" not in content:
+        argv += ["--instance", instance]
+    assert run(argv) == 2
+    record = json.loads((tmp_path / "runs" / f"{mode}-seed0" / "error.json").read_text())
+    (key,) = content
+    assert record["error"] == "config" and record["message"].startswith(f"{key}:")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_rho_outside_box_message_prints_plain_floats(tmp_path, instance):
     out = tmp_path / "b"
     assert run(["baseline", "--instance", instance, "--initial-rho", "1,0,0,0,0,60",

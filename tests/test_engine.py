@@ -39,8 +39,8 @@ def toy_problem(infeasible_below=None, maximize=False, target=3.0):
             m.add_constraint({x: 1.0}, GE, 11.0)
         return m
 
-    def extract(model, solution):
-        return solution.values[model.variable_id("x")]
+    def extract(model, values):
+        return values[model.variable_id("x")]
 
     def build_lows(xstar):
         sense = "maximize" if maximize else "minimize"
@@ -266,8 +266,8 @@ def stepped_problem(fail_on=None, delay=0.0):
     )
     calls = []
 
-    def extract(model, solution):
-        return math.floor(base.extract(model, solution))
+    def extract(model, values):
+        return math.floor(base.extract(model, values))
 
     def build_lows(decision):
         calls.append(decision)
@@ -318,7 +318,7 @@ def test_design_cache_error_reaches_every_waiting_evaluation():
     # every point shares one decision, whose low-level build fails after a pause,
     # so the second thread waits on it while the first is still building
     prob, calls = stepped_problem(fail_on=0, delay=0.2)
-    prob = dataclasses.replace(prob, extract=lambda model, solution: 0)
+    prob = dataclasses.replace(prob, extract=lambda model, values: 0)
     cfg = DfoConfig(algorithm="pso", budget=12, seed=2)
     outcome = {}
 
